@@ -8,10 +8,14 @@ agreement at levels up to 5 is the desk-scale certificate for the
 closure characterization; the module also spot-checks random generator
 words against the window constraints.
 
-Portraits act on depth-n leaves as XOR masks driven by original path
-prefixes, so a quotient element is a permutation of 2^n leaves and a
-product is one numpy gather.  Portrait keys (bit-packed as in
-Portrait.pack) are the canonical coset names throughout.
+A coset of the level-n stabilizer is named by its portrait key
+(bit-packed as in Portrait.pack, at most 31 bits), and both
+enumerations work on uint32 arrays of keys.  The BFS multiplies on the
+left: act(s*g, u) = act(s, u) xor act(g, u^s), so key(s*g) is key(g)
+with its bits permuted by s acting on the vertices, xor key(s).  Each
+permutation is evaluated with one 256-entry table per key byte, derived
+from the tree action of the generator itself.  Sets are deduplicated by
+sorting and comparing neighbours, and membership is a binary search.
 """
 
 from __future__ import annotations
@@ -23,9 +27,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .closure import (CONSTRAINT_TABLE, in_closure_up_to,
-                      simulates_grigorchuk, window_at)
-from .tree import Portrait, apply
+from .closure import CONSTRAINT_TABLE, in_closure_up_to
+from .tree import Portrait, apply, portrait_of
 from .words import ALPHABET, word_element
 
 __all__ = [
@@ -48,12 +51,20 @@ def _check_level(n: int) -> int:
     return n
 
 
+def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal sorted keys."""
+    mask = np.ones(sorted_keys.size, dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=mask[1:])
+    return mask
+
+
 class PortraitSet:
     """A set of depth-n portraits, stored as sorted packed keys."""
 
     def __init__(self, level: int, keys: np.ndarray):
         self.level = level
-        self.keys = np.unique(np.asarray(keys, dtype=np.uint32))
+        keys = np.sort(np.asarray(keys, dtype=np.uint32))
+        self.keys = keys[_first_of_runs(keys)]
 
     def __len__(self) -> int:
         return int(self.keys.size)
@@ -66,10 +77,16 @@ class PortraitSet:
             return item.pack()
         return int(item)
 
+    def _index(self, key: int) -> int | None:
+        """Position of key in self.keys, or None if absent."""
+        if not 0 <= key <= 0xFFFFFFFF:
+            return None
+        # a uint32 needle keeps numpy from casting the whole array
+        i = int(np.searchsorted(self.keys, np.uint32(key)))
+        return i if i < self.keys.size and int(self.keys[i]) == key else None
+
     def __contains__(self, item: Portrait | int) -> bool:
-        key = self.key_of(item)
-        i = int(np.searchsorted(self.keys, key))
-        return i < self.keys.size and int(self.keys[i]) == key
+        return self._index(self.key_of(item)) is not None
 
     def portraits(self) -> Iterator[Portrait]:
         for key in self.keys:
@@ -83,7 +100,11 @@ class PortraitSet:
 
 class QuotientSet(PortraitSet):
     """The quotient of the Grigorchuk group by its level-n stabilizer,
-    with one generator-word witness per coset (any witness suffices)."""
+    with a shortest generator word as witness for each coset.
+
+    Coset i in discovery order is ALPHABET[gens[i]] times coset
+    parents[i]; the identity has parent -1.
+    """
 
     def __init__(self, level, keys, disc_keys, parents, gens):
         super().__init__(level, keys)
@@ -93,167 +114,145 @@ class QuotientSet(PortraitSet):
         self._order = None
 
     def witness(self, item: Portrait | int) -> str:
-        """A generator word whose depth-n portrait is the given coset key."""
+        """A shortest generator word whose depth-n portrait is the given
+        coset key.  Each step of the BFS prepends one letter, so walking
+        the parent chain reads the word from left to right."""
         key = self.key_of(item)
-        if self._order is None:
-            self._order = np.argsort(self._disc_keys)
-        sorted_keys = self._disc_keys[self._order]
-        i = int(np.searchsorted(sorted_keys, key))
-        if i >= sorted_keys.size or int(sorted_keys[i]) != key:
+        i = self._index(key)
+        if i is None:
             raise KeyError(f"key {key} not in quotient set")
+        if self._order is None:
+            # discovery keys are distinct, so sorted they are self.keys
+            self._order = np.argsort(self._disc_keys)
         idx = int(self._order[i])
         letters = []
         while self._parents[idx] >= 0:
             letters.append(ALPHABET[self._gens[idx]])
             idx = int(self._parents[idx])
-        return "".join(reversed(letters))
+        return "".join(letters)
 
 
-def _generator_perms(n: int) -> list[np.ndarray]:
-    """Leaf permutations of a, b, c, d at depth n (perm[i] = image of
-    leaf i, leaves read as length-n binary strings)."""
-    perms = []
+def _left_multipliers(n: int) -> list[tuple[np.ndarray, int]]:
+    """For each generator s, the byte tables of the bit permutation P_s
+    with key(s*g) = P_s(key(g)) xor key(s), and key(s) itself.
+
+    Bit u of P_s(k) is bit u^s of k.  tables[j][v] holds the bits that
+    byte j of k, of value v, contributes to P_s(k).  Everything comes
+    from the tree action of the generator element.
+    """
+    vertices = [format(i, f"0{m}b") if m else ""
+                for m in range(n) for i in range(1 << m)]
+    position = {u: p for p, u in enumerate(vertices)}
+    byte = np.arange(256, dtype=np.uint32)
+    multipliers = []
     for letter in ALPHABET:
-        g = word_element(letter)
-        images = [int(apply(g, format(i, f"0{n}b")), 2) for i in range(1 << n)]
-        perms.append(np.array(images, dtype=np.uint8))
-    return perms
+        s = word_element(letter)
+        tables = np.zeros(((len(vertices) + 7) // 8, 256), dtype=np.uint32)
+        for p, u in enumerate(vertices):
+            src = position[apply(s, u)]
+            tables[src >> 3] |= ((byte >> (src & 7)) & 1) << p
+        multipliers.append((tables, portrait_of(s, n).pack()))
+    return multipliers
 
 
-def _pack_perms(perms: np.ndarray, n: int) -> np.ndarray:
-    """Portrait keys of a batch of leaf permutations, shape (k, 2^n).
-
-    The activity at level-m vertex i is the last bit of the image of
-    its left child, read off the image of that child's first leaf.
-    """
-    keys = np.zeros(perms.shape[0], dtype=np.uint32)
-    for m in range(n):
-        shift = n - m - 1
-        for i in range(1 << m):
-            col = i << (n - m)
-            bit = ((perms[:, col] >> shift) & 1).astype(np.uint32)
-            keys |= bit << ((1 << m) - 1 + i)
-    return keys
-
-
-def _perms_from_keys(keys: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of _pack_perms: rebuild leaf permutations from keys.
-
-    A portrait sends leaf x1..xn to y1..yn with y_m = x_m xor the
-    activity at the original prefix x1..x_{m-1}, so each key bit XORs a
-    block of leaf images.
-    """
-    out = np.tile(np.arange(1 << n, dtype=np.uint8), (keys.shape[0], 1))
-    for m in range(n):
-        width = 1 << (n - m)
-        flip = np.uint8(1 << (n - m - 1))
-        for i in range(1 << m):
-            bit = ((keys >> ((1 << m) - 1 + i)) & 1).astype(np.uint8)
-            out[:, i * width : (i + 1) * width] ^= (bit * flip)[:, None]
-    return out
+def _left_products(keys: np.ndarray, multipliers) -> list[np.ndarray]:
+    """key(s*g) for every generator s (in ALPHABET order) and every key
+    of g, as one uint32 array per generator."""
+    key_bytes = np.ascontiguousarray(keys, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    products = []
+    for tables, key_s in multipliers:
+        out = tables[0][key_bytes[:, 0]]
+        for j in range(1, tables.shape[0]):
+            out |= tables[j][key_bytes[:, j]]
+        out ^= np.uint32(key_s)
+        products.append(out)
+    return products
 
 
 def enumerate_quotient(n: int) -> QuotientSet:
-    """BFS of the Grigorchuk group acting on depth-n leaves, starting
-    from the identity and right-multiplying by the four generators;
-    returns every reachable coset with a witness word."""
+    """BFS of the Grigorchuk group acting on depth-n portraits, starting
+    from the identity and left-multiplying by the four generators;
+    returns every reachable coset with a shortest witness word."""
     _check_level(n)
-    gen_perms = _generator_perms(n)
-    disc_keys = [np.zeros(1, dtype=np.uint32)]
-    parents = [np.full(1, -1, dtype=np.int64)]
-    gens = [np.zeros(1, dtype=np.uint8)]
+    multipliers = _left_multipliers(n)
     visited = np.zeros(1, dtype=np.uint32)
-    frontier_keys = visited
-    frontier_idx = np.zeros(1, dtype=np.int64)
-    next_global = 1
-    while frontier_keys.size:
-        perms = _perms_from_keys(frontier_keys, n)
-        batch_keys, batch_parents, batch_gens = [], [], []
-        for gi, q in enumerate(gen_perms):
-            batch_keys.append(_pack_perms(q[perms], n))
-            batch_parents.append(frontier_idx)
-            batch_gens.append(np.full(frontier_keys.size, gi, dtype=np.uint8))
-        keys = np.concatenate(batch_keys)
-        uniq, first = np.unique(keys, return_index=True)
-        fresh = ~np.isin(uniq, visited, assume_unique=True)
-        new_keys = uniq[fresh]
-        pick = first[fresh]
-        disc_keys.append(new_keys)
-        parents.append(np.concatenate(batch_parents)[pick])
-        gens.append(np.concatenate(batch_gens)[pick])
-        visited = np.union1d(visited, new_keys)
-        frontier_keys = new_keys
-        frontier_idx = np.arange(next_global, next_global + new_keys.size)
-        next_global += new_keys.size
+    disc_keys = [visited]
+    parents = [np.full(1, -1, dtype=np.int32)]
+    gens = [np.zeros(1, dtype=np.uint8)]
+    frontier, start = visited, 0
+    while frontier.size:
+        size = frontier.size
+        # sort (key, candidate index) pairs: the first of each key run
+        # is its first candidate, product number c = g*size + frontier slot
+        products = np.concatenate(_left_products(frontier, multipliers))
+        tagged = products.astype(np.uint64) << np.uint64(32)
+        tagged |= np.arange(tagged.size, dtype=np.uint64)
+        tagged.sort()
+        keys = (tagged >> np.uint64(32)).astype(np.uint32)
+        first = _first_of_runs(keys)
+        keys, cand = keys[first], (tagged[first] & np.uint64(0xFFFFFFFF)).astype(np.int64)
+        at = np.minimum(np.searchsorted(visited, keys), visited.size - 1)
+        fresh = visited[at] != keys
+        frontier, cand = keys[fresh], cand[fresh]
+        disc_keys.append(frontier)
+        parents.append((start + cand % size).astype(np.int32))
+        gens.append((cand // size).astype(np.uint8))
+        visited = np.sort(np.concatenate((visited, frontier)), kind="stable")
+        start += size
     return QuotientSet(n, visited,
                        np.concatenate(disc_keys),
                        np.concatenate(parents),
                        np.concatenate(gens))
 
 
-def _admissible_exhaustive(n: int) -> np.ndarray:
-    """Filter every depth-n decoration through the window constraints
-    (viable up to n = 4, i.e. 2^15 candidates)."""
-    total_bits = (1 << n) - 1
-    if n < 4:
-        return np.arange(1 << total_bits, dtype=np.uint32)
-    window_roots = [format(i, f"0{m}b") if m else ""
-                    for m in range(n - 3) for i in range(1 << m)]
-    keys = []
-    for key in range(1 << total_bits):
-        p = Portrait.unpack(key, n)
-        if all(simulates_grigorchuk(window_at(p, u)) for u in window_roots):
-            keys.append(key)
-    return np.array(keys, dtype=np.uint32)
+def _window_rows() -> np.ndarray:
+    """rows[ctx, free] is the admissible level-3 row of a window, as 8
+    bits (bit r = a_r, r read as three binary digits), given the six
+    bits ctx = a_0 a_1 a_00 a_01 a_10 a_11 above it and its free bits
+    free = a_110 a_111 a_101 a_011 a_001 (most significant first).
 
-
-# lookup tables: index (alpha0<<2 | alpha1<<1 | beta10) -> forced betas
-_B00 = np.zeros(8, dtype=np.uint32)
-_B01 = np.zeros(8, dtype=np.uint32)
-_B11 = np.zeros(8, dtype=np.uint32)
-for _row in CONSTRAINT_TABLE:
-    _i = (_row[0] << 2) | (_row[1] << 1) | _row[4]
-    _B00[_i], _B01[_i], _B11[_i] = _row[2], _row[3], _row[5]
-
-
-def _admissible_level5(base4: np.ndarray) -> np.ndarray:
-    """Extend every admissible depth-4 key by all admissible level-4
-    rows.  Below each level-1 vertex the window leaves the five bits at
-    relative positions 001, 011, 101, 111, 110 free and forces the
-    other three, so each base key gains 10 free bits."""
-    combos = np.arange(1 << 10, dtype=np.uint32)
-    free = [(combos >> j) & 1 for j in range(10)]
-    keys = base4[:, None].astype(np.uint64)
-    out = np.broadcast_to(keys, (base4.size, combos.size)).copy()
-    for u in (0, 1):
-        a001, a011, a101, a111, a110 = free[5 * u : 5 * u + 5]
-        w_a0 = (keys >> (3 + 2 * u)) & 1
-        w_a1 = (keys >> (4 + 2 * u)) & 1
-        w00 = (keys >> (7 + 4 * u)) & 1
-        w01 = (keys >> (8 + 4 * u)) & 1
-        w10 = (keys >> (9 + 4 * u)) & 1
-        w11 = (keys >> (10 + 4 * u)) & 1
-        b10 = (w10 + a110 + a111) & 1
-        row = ((w_a0 << 2) | (w_a1 << 1) | b10).astype(np.intp)
-        a010 = (_B00[row] + w00 + a011) & 1
-        a000 = (_B01[row] + w01 + a001) & 1
-        a100 = (_B11[row] + w11 + a101) & 1
-        rels = (a000, a001, a010, a011, a100, a101, a110, a111)
-        for r, bit in enumerate(rels):
-            out |= bit.astype(np.uint64) << (15 + 8 * u + r)
-    return out.ravel().astype(np.uint32)
+    The pair below vertex 11 fixes beta10; the admissible pattern with
+    this (alpha0, alpha1, beta10) then forces a_000, a_010 and a_100.
+    """
+    forced = np.zeros((8, 3), dtype=np.uint32)
+    for a0, a1, b00, b01, b10, b11 in CONSTRAINT_TABLE:
+        forced[(a0 << 2) | (a1 << 1) | b10] = (b00, b01, b11)
+    ctx = np.arange(64, dtype=np.uint32)[:, None]
+    free = np.arange(32, dtype=np.uint32)[None, :]
+    a0, a1, a00, a01, a10, a11 = ((ctx >> (5 - j)) & 1 for j in range(6))
+    a001, a011, a101, a111, a110 = ((free >> j) & 1 for j in range(5))
+    b00, b01, b11 = forced[(a0 << 2) | (a1 << 1) | (a10 ^ a110 ^ a111)].transpose(2, 0, 1)
+    a000 = b01 ^ a01 ^ a001
+    a010 = b00 ^ a00 ^ a011
+    a100 = b11 ^ a11 ^ a101
+    level3 = (a000, a001, a010, a011, a100, a101, a110, a111)
+    return sum(bit << r for r, bit in enumerate(level3))
 
 
 def enumerate_admissible_decorations(n: int) -> PortraitSet:
     """All depth-n portraits whose complete depth-3 windows (rooted at
-    every vertex of level <= n-4) satisfy the window constraints.  Up to
-    depth 4 this is an exhaustive filter; depth 5 extends the depth-4
-    set along the free decoration bits."""
+    every vertex of level <= n-4) satisfy the window constraints.
+
+    Levels 0-2 are free.  Row L >= 3 is the bottom row of the windows
+    rooted at level L-3: every key is extended by the 5 free bits of
+    each such window, and the 3 forced bits are filled in from the
+    constraint table.
+    """
     _check_level(n)
-    if n <= 4:
-        return PortraitSet(n, _admissible_exhaustive(n))
-    base4 = _admissible_exhaustive(4)
-    return PortraitSet(5, _admissible_level5(base4))
+    keys = np.arange(1 << ((1 << min(n, 3)) - 1), dtype=np.uint32)
+    rows = _window_rows()
+    for level in range(3, n):
+        above, mid, low = ((1 << (level - d)) - 1 for d in (2, 1, 0))
+        out = keys[:, None]
+        for i in range(1 << (level - 3)):
+            ctx = np.zeros(keys.size, dtype=np.uint32)
+            for pos in (above + 2 * i, above + 2 * i + 1,
+                        mid + 4 * i, mid + 4 * i + 1, mid + 4 * i + 2, mid + 4 * i + 3):
+                ctx = (ctx << 1) | ((keys >> pos) & 1)
+            extension = rows[ctx] << (low + 8 * i)
+            out = (out[:, :, None] | extension[:, None, :]).reshape(keys.size, -1)
+        keys = out.ravel()
+    return PortraitSet(n, keys)
 
 
 @dataclass
@@ -312,7 +311,8 @@ def save_portrait_set(path, pset: PortraitSet) -> None:
 
 
 def load_portrait_set(path) -> PortraitSet:
-    """Read a cache written by save_portrait_set."""
+    """Read a cache written by save_portrait_set, rejecting any file
+    that save_portrait_set could not have written."""
     with open(path, "rb") as fh:
         header = fh.read(8)
         if len(header) != 8:
@@ -321,10 +321,19 @@ def load_portrait_set(path) -> PortraitSet:
         _check_level(level)
         dtype = _WIDTH_DTYPES[_key_width(level)]
         body = fh.read()
+    if len(body) % dtype.itemsize:
+        raise ValueError(
+            f"portrait cache body of {len(body)} bytes is not a whole number "
+            f"of {dtype.itemsize}-byte keys")
     keys = np.frombuffer(body, dtype=dtype)
     if keys.size != count:
         raise ValueError(
             f"portrait cache declares {count} keys but contains {keys.size}")
     if count and not np.all(keys[1:] > keys[:-1]):
         raise ValueError("portrait cache keys are not sorted ascending")
+    bits = (1 << level) - 1
+    if count and int(keys[-1]) >> bits:
+        raise ValueError(
+            f"portrait cache key {int(keys[-1])} does not fit in the "
+            f"{bits} bits of level {level}")
     return PortraitSet(level, keys.astype(np.uint32))

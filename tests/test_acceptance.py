@@ -5,7 +5,6 @@ the terminal (bypassing capture) and then asserts; a line only reads
 PASS when every assertion in its block held.
 """
 
-import os
 import random
 import resource
 import time
@@ -145,18 +144,17 @@ def test_criterion_08_dimension_convergence(criterion, quotient4):
         for n in (1, 2, 3):
             assert len(gt.enumerate_quotient(n)) == 2 ** gt.free_bit_count(n)
         assert len(quotient4) == 2 ** gt.free_bit_count(4)
-        if os.environ.get("GRIGTREE_LARGE"):
-            start = time.perf_counter()
-            size = len(gt.enumerate_quotient(5))
-            elapsed = time.perf_counter() - start
-            peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-            assert size == 2 ** gt.free_bit_count(5) == 4_194_304
-            assert elapsed < 120.0
-            assert peak_mib < 1024.0
-            level5 = (f"level 5: {size} cosets in {elapsed:.1f}s, "
-                      f"peak RSS {peak_mib:.0f} MiB")
-        else:
-            level5 = "level 5 skipped (set GRIGTREE_LARGE=1 to include it)"
+        start = time.perf_counter()
+        quotient5 = gt.enumerate_quotient(5)
+        elapsed = time.perf_counter() - start
+        peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        assert len(quotient5) == 2 ** gt.free_bit_count(5) == 4_194_304
+        assert elapsed < 120.0
+        assert peak_mib < 1024.0
+        assert np.array_equal(quotient5.keys,
+                              gt.enumerate_admissible_decorations(5).keys)
+        level5 = (f"level 5: {len(quotient5)} cosets in {elapsed:.1f}s, "
+                  f"peak RSS {peak_mib:.0f} MiB, equal to the admissible set")
         info["detail"] = (f"estimate(4)=4/5, estimate(20)={est20:.6f}, "
                           f"levels 1-4 sizes = 2^free; {level5}")
 

@@ -1,12 +1,15 @@
 import random
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import grigtree as gt
 from grigtree import Portrait, TruncationAutomorphism
-from grigtree.oracle import _pack_perms, _perms_from_keys
+from grigtree.oracle import _left_multipliers, _left_products
 
 
 def key_width_bytes(level):
@@ -79,31 +82,55 @@ def test_admissible_equals_quotient_at_level4(quotient4, admissible4):
     assert np.array_equal(quotient4.keys, admissible4.keys)
 
 
-def test_perm_key_round_trip():
-    rng = random.Random(3)
-    keys = np.array([rng.randrange(1 << 15) for _ in range(64)], dtype=np.uint32)
-    assert np.array_equal(_pack_perms(_perms_from_keys(keys, 4), 4), keys)
+def exhaustive_admissible(n):
+    """Filter every depth-n decoration through the window constraints,
+    one Portrait at a time (2^15 candidates at n = 4)."""
+    roots = [format(i, f"0{m}b") if m else ""
+             for m in range(n - 3) for i in range(1 << m)]
+    return [key for key in range(1 << ((1 << n) - 1))
+            if all(gt.simulates_grigorchuk(gt.window_at(Portrait.unpack(key, n), u))
+                   for u in roots)]
 
 
-def test_perms_agree_with_tree_action():
-    rng = random.Random(5)
-    for key in [0, 1, 127] + [rng.randrange(1 << 7) for _ in range(10)]:
-        g = TruncationAutomorphism(Portrait.unpack(key, 3))
-        expected = [int(gt.apply(g, format(i, "03b")), 2) for i in range(8)]
-        row = _perms_from_keys(np.array([key], dtype=np.uint32), 3)[0]
-        assert row.tolist() == expected
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_admissible_extension_matches_exhaustive_filter(n):
+    assert gt.enumerate_admissible_decorations(n).keys.tolist() == exhaustive_admissible(n)
 
 
-def test_perm_gather_matches_composition():
-    rng = random.Random(9)
-    for _ in range(20):
-        k1, k2 = rng.randrange(1 << 15), rng.randrange(1 << 15)
-        perms = _perms_from_keys(np.array([k1, k2], dtype=np.uint32), 4)
-        product_perm = perms[1][perms[0]]
-        expected = int(_pack_perms(product_perm[None, :], 4)[0])
-        g = TruncationAutomorphism(Portrait.unpack(k1, 4))
-        h = TruncationAutomorphism(Portrait.unpack(k2, 4))
-        assert gt.portrait_of(gt.compose(g, h), 4).pack() == expected
+MULTIPLIERS = {n: _left_multipliers(n) for n in (3, 4, 5)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 4, 5]).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(
+        st.integers(0, (1 << ((1 << n) - 1)) - 1), min_size=1, max_size=4))))
+def test_left_products_match_tree_composition(case):
+    n, keys = case
+    products = _left_products(np.array(keys, dtype=np.uint32), MULTIPLIERS[n])
+    for letter, out in zip(gt.ALPHABET, products):
+        s = gt.word_element(letter)
+        for key, got in zip(keys, out.tolist()):
+            g = TruncationAutomorphism(Portrait.unpack(key, n))
+            assert got == gt.portrait_of(gt.compose(s, g), n).pack()
+
+
+def test_witnesses_are_shortest_words():
+    # every coset of the level-3 quotient, by BFS over single-letter steps
+    q3 = gt.enumerate_quotient(3)
+    distance = {0: 0}
+    layer = [gt.IDENTITY]
+    while layer:
+        nxt = []
+        for g in layer:
+            for letter in gt.ALPHABET:
+                h = gt.compose(g, gt.word_element(letter))
+                key = gt.portrait_of(h, 3).pack()
+                if key not in distance:
+                    distance[key] = distance[gt.portrait_of(g, 3).pack()] + 1
+                    nxt.append(h)
+        layer = nxt
+    assert sorted(distance) == q3.keys.tolist()
+    assert all(len(q3.witness(key)) == d for key, d in distance.items())
 
 
 def test_level5_extension(admissible4):
@@ -176,6 +203,24 @@ def test_load_rejects_unsorted_keys(tmp_path):
         gt.load_portrait_set(path)
 
 
+def test_load_rejects_key_out_of_range(tmp_path):
+    path = tmp_path / "range3.bin"
+    path.write_bytes(struct.pack("<II", 3, 2) + bytes([1, 255]))
+    with pytest.raises(ValueError, match="does not fit"):
+        gt.load_portrait_set(path)
+    path = tmp_path / "range5.bin"
+    path.write_bytes(struct.pack("<II", 5, 1) + struct.pack("<I", 1 << 31))
+    with pytest.raises(ValueError, match="does not fit"):
+        gt.load_portrait_set(path)
+
+
+def test_load_rejects_partial_key(tmp_path):
+    path = tmp_path / "partial.bin"
+    path.write_bytes(struct.pack("<II", 5, 1) + bytes([1, 2, 3]))
+    with pytest.raises(ValueError, match="whole number"):
+        gt.load_portrait_set(path)
+
+
 def test_load_rejects_bad_level(tmp_path):
     path = tmp_path / "badlevel.bin"
     path.write_bytes(struct.pack("<II", 9, 0))
@@ -188,3 +233,14 @@ def test_portrait_set_iteration_yields_sorted_portraits():
     packs = [p.pack() for p in pset]
     assert packs == [0, 3, 6]
     assert all(p.depth == 2 for p in pset)
+
+
+def test_no_numpy_set_routines_in_src():
+    # numpy 2 runs these through hashing, which took most of the level-5
+    # BFS time; sort plus a neighbour mask does the same job far faster
+    src = Path(gt.__file__).parent
+    banned = re.compile(r"np\.(unique|isin|union1d)\b")
+    hits = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if banned.search(line)]
+    assert hits == []
