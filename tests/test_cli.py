@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import grigtree as gt
@@ -143,6 +145,26 @@ def test_sample_is_deterministic(capsys):
     assert out2 == out1
     code, _, err = run(capsys, "sample", "--seed", "5", "--depth", "3")
     assert code == 2 and err.startswith("error:")
+
+
+SAMPLE_SHA256 = {
+    (0, 4): "a52e8bfcde3774c02f21ca773fc684c4241a9390d0fd121a68597e3dbf1a1d76",
+    (0, 9): "6a82db5baddc1d54494d9b680ff7a9750d1c8eae98fa6c4d0abb6a8d5213cfd5",
+    (0, 16): "4fe98a0fa7b53e8430734680aaf1736de65b39511f5648431fe89b20d808c8da",
+    (5, 4): "1a4b3cdeb503299d031fcf91c98f25431c741439e65d431af1df8e5dcb4fb45f",
+    (5, 9): "e3f92a3b4f3ecc5e6e000245b86e63d9dafb6d7f1c16cc3a851832e829599916",
+    (5, 16): "e9a4e493d9fffa017e0ee4ee8eeb40071217fbbbd9f9061a9ed8ba4ee2519ae9",
+    (12345, 4): "06287b84b01405451e532c1325cdc290c8dc7312cd19f434007f197c3ea62181",
+    (12345, 9): "0738527bdbb506408ae978ae938958ba6210829e093fd301eaf760b69b0faa47",
+    (12345, 16): "9d3fff651154e6346bcb0e3c4efc065700bcff5720fa95e22c5e6a7000aeb493",
+}
+
+
+@pytest.mark.parametrize("seed,depth", sorted(SAMPLE_SHA256))
+def test_sample_output_bytes_are_pinned(capsys, seed, depth):
+    code, out, _ = run(capsys, "sample", "--seed", str(seed), "--depth", str(depth))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_SHA256[seed, depth]
 
 
 def test_bounded_automaton_verdicts(capsys):
