@@ -14,6 +14,7 @@ back the self-similar closure elements kbar = (k, kbar).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -227,21 +228,32 @@ def k_word(conjugators: Iterable[str]) -> str:
 
 
 def _parses_as_conjugate_product(word: str) -> bool:
-    n = len(word)
+    """Does the word split into blocks reverse(w) + "abab" + w?
 
-    @lru_cache(maxsize=None)
-    def ok(i: int) -> bool:
+    A block starting at i is fixed by the occurrence of "abab" at i+half
+    that opens it.  Depth-first search over block starts, shortest block
+    first, remembering the starts from which no split reaches the end.
+    """
+    n = len(word)
+    abab = [p for p in range(n - 3) if word.startswith("abab", p)]
+    dead: set[int] = set()
+    stack = [(0, 0)]  # (block start, index of the next abab occurrence to try)
+    while stack:
+        i, k = stack[-1]
         if i == n:
             return True
-        for half in range((n - i - 4) // 2 + 1):
-            if word[i + half : i + half + 4] != "abab":
-                continue
-            tail = word[i + half + 4 : i + 2 * half + 4]
-            if word[i : i + half] == tail[::-1] and ok(i + 2 * half + 4):
-                return True
-        return False
-
-    return ok(0)
+        # the block must end by n: end = 2p - i + 4 <= n
+        for k in range(k, bisect_right(abab, (n + i - 4) // 2)):
+            p = abab[k]
+            end = 2 * p - i + 4
+            if end not in dead and word[i:p] == word[p + 4:end][::-1]:
+                stack[-1] = (i, k + 1)
+                stack.append((end, bisect_left(abab, end)))
+                break
+        else:
+            dead.add(i)
+            stack.pop()
+    return False
 
 
 def _check_k_shape(word: str) -> str:

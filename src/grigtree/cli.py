@@ -253,8 +253,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DesignatorError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DesignatorError, ValueError, RecursionError, MemoryError, OSError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

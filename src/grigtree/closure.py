@@ -14,6 +14,14 @@ the group in Aut(T) exactly when the window below every vertex
 simulates it, which this module checks to finite depth.  The same
 free/forced bit count drives the exact Hausdorff-dimension estimate
 (-> 5/8).
+
+The closure check and the sampler work on whole portrait levels as
+numpy bit rows.  Rows L+1, L+2 and L+3, reshaped to 2, 4 and 8 columns,
+hold the windows rooted at all 2^L vertices of level L side by side, so
+one level of windows is scored by one lookup of their six-bit profiles
+in a 64-entry table, and one level of samples is completed by one
+lookup in the forced-bit table.  `window_at`, `WindowDecoration` and
+`beta_profile` are single-window views for callers.
 """
 
 from __future__ import annotations
@@ -21,6 +29,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .tree import Automorphism, Portrait, portrait_of
 
@@ -73,6 +83,12 @@ _ROW_BY_ALPHA_B10: dict[tuple[int, int, int], tuple[int, int, int]] = {
     (r[0], r[1], r[4]): (r[2], r[3], r[5]) for r in CONSTRAINT_TABLE
 }
 assert len(_ROW_BY_ALPHA_B10) == 8
+
+#: Admissibility of the 64 six-bit window profiles, indexed by
+#: alpha0 alpha1 beta00 beta01 beta10 beta11 read as a binary number.
+_ADMISSIBLE = np.zeros(64, dtype=bool)
+_ADMISSIBLE[[sum(bit << (5 - j) for j, bit in enumerate(row))
+             for row in CONSTRAINT_TABLE]] = True
 
 
 @dataclass(frozen=True)
@@ -149,15 +165,33 @@ class ClosureVerdict:
         return f"VIOLATION vertex={self.violation or '-'}"
 
 
+def _label(level: int, i: int) -> str:
+    """The label of the i-th vertex (lexicographic order) of a level."""
+    return format(i, f"0{level}b") if level else ""
+
+
 def portrait_closure_verdict(p: Portrait) -> ClosureVerdict:
-    """Check every complete window of a portrait (depth >= 4)."""
+    """Check every complete window of a portrait (depth >= 4).
+
+    Levels of windows are scored shallowest first, each all at once from
+    the three bit rows below it; the first failing window of the first
+    failing level is the violation.
+    """
     if p.depth < 4:
         raise ValueError("closure checks need portrait depth >= 4")
+    rows = [np.array(row, dtype=np.uint8) for row in p.levels]
     for level in range(p.depth - 3):
-        for i in range(1 << level):
-            u = format(i, f"0{level}b") if level else ""
-            if not simulates_grigorchuk(window_at(p, u)):
-                return ClosureVerdict(False, p.depth, u)
+        l1 = rows[level + 1].reshape(-1, 2)
+        l2 = rows[level + 2].reshape(-1, 4)
+        l3 = rows[level + 3].reshape(-1, 8)
+        profile = (l1[:, 0] << 5) | (l1[:, 1] << 4)
+        profile |= (l2[:, 0] ^ l3[:, 2] ^ l3[:, 3]) << 3  # beta00
+        profile |= (l2[:, 1] ^ l3[:, 0] ^ l3[:, 1]) << 2  # beta01
+        profile |= (l2[:, 2] ^ l3[:, 6] ^ l3[:, 7]) << 1  # beta10
+        profile |= l2[:, 3] ^ l3[:, 4] ^ l3[:, 5]  # beta11
+        bad = ~_ADMISSIBLE[profile]
+        if bad.any():
+            return ClosureVerdict(False, p.depth, _label(level, int(bad.argmax())))
     return ClosureVerdict(True, p.depth)
 
 
@@ -217,6 +251,29 @@ def complete_window(
     )
 
 
+def _window_rows() -> np.ndarray:
+    """rows[ctx, free] is the admissible level-3 row of a window, as 8
+    bits (bit r = a_r, r read as three binary digits), given the six
+    bits ctx = a_0 a_1 a_00 a_01 a_10 a_11 above it and its free bits
+    free = a_110 a_111 a_101 a_011 a_001 (most significant first).
+
+    The pair below vertex 11 fixes beta10; the admissible pattern with
+    this (alpha0, alpha1, beta10) then forces a_000, a_010 and a_100.
+    """
+    forced = np.array([_ROW_BY_ALPHA_B10[(k >> 2, (k >> 1) & 1, k & 1)]
+                       for k in range(8)], dtype=np.uint32)
+    ctx = np.arange(64, dtype=np.uint32)[:, None]
+    free = np.arange(32, dtype=np.uint32)[None, :]
+    a0, a1, a00, a01, a10, a11 = ((ctx >> (5 - j)) & 1 for j in range(6))
+    a001, a011, a101, a111, a110 = ((free >> j) & 1 for j in range(5))
+    b00, b01, b11 = forced[(a0 << 2) | (a1 << 1) | (a10 ^ a110 ^ a111)].transpose(2, 0, 1)
+    a000 = b01 ^ a01 ^ a001
+    a010 = b00 ^ a00 ^ a011
+    a100 = b11 ^ a11 ^ a101
+    level3 = (a000, a001, a010, a011, a100, a101, a110, a111)
+    return sum(bit << r for r, bit in enumerate(level3))
+
+
 def _seed_bit(seed: int, vertex: str) -> int:
     """Deterministic per-vertex bit: a counter-based generator keyed by
     (seed, vertex label), so extending the depth never changes the bits
@@ -230,35 +287,31 @@ def sample_closure_element(seed: int, depth: int) -> Portrait:
 
     Levels 0-2 are drawn freely; from level 3 on, the bits at vertices
     whose label ends in 1 or in 110 are drawn freely and the remaining
-    three bits per window are forced via `complete_window`, level by
-    level.  Deterministic in the seed.
+    three bits of each window rooted three levels up are forced, a level
+    at a time, by one lookup in the forced-bit table.  Deterministic in
+    the seed.
     """
     if depth < 4:
         raise ValueError("sampling needs depth >= 4")
-    bits: dict[str, int] = {"": _seed_bit(seed, "")}
-    for level in range(1, depth):
-        for i in range(1 << level):
-            u = format(i, f"0{level}b")
-            if level <= 2 or u.endswith("1") or u.endswith("110"):
-                bits[u] = _seed_bit(seed, u)
-        if level < 3:
-            continue
-        for i in range(1 << (level - 3)):
-            w = format(i, f"0{level - 3}b") if level > 3 else ""
-            filled = complete_window(
-                (bits[w + "0"], bits[w + "1"]),
-                (bits[w + "00"], bits[w + "01"], bits[w + "10"], bits[w + "11"]),
-                (bits[w + "001"], bits[w + "011"], bits[w + "101"],
-                 bits[w + "111"], bits[w + "110"]),
-            )
-            bits[w + "000"] = filled.level3[0]
-            bits[w + "010"] = filled.level3[2]
-            bits[w + "100"] = filled.level3[4]
-    levels = tuple(
-        tuple(bits[format(i, f"0{level}b") if level else ""] for i in range(1 << level))
-        for level in range(depth)
-    )
-    return Portrait(levels)
+    rows = [np.array([_seed_bit(seed, _label(level, i)) for i in range(1 << level)],
+                     dtype=np.uint8)
+            for level in range(3)]
+    table = _window_rows()
+    for level in range(3, depth):
+        index = np.arange(1 << level)
+        free_at = index[(index & 1 == 1) | (index & 7 == 6)]
+        row = np.zeros(1 << level, dtype=np.uint8)
+        row[free_at] = [_seed_bit(seed, _label(level, i)) for i in free_at.tolist()]
+        l1 = rows[level - 2].reshape(-1, 2)
+        l2 = rows[level - 1].reshape(-1, 4)
+        l3 = row.reshape(-1, 8)
+        ctx = ((l1[:, 0] << 5) | (l1[:, 1] << 4) | (l2[:, 0] << 3)
+               | (l2[:, 1] << 2) | (l2[:, 2] << 1) | l2[:, 3])
+        free = ((l3[:, 6] << 4) | (l3[:, 7] << 3) | (l3[:, 5] << 2)
+                | (l3[:, 3] << 1) | l3[:, 1])
+        filled = table[ctx, free][:, None] >> np.arange(8, dtype=np.uint32)
+        rows.append((filled & 1).astype(np.uint8).ravel())
+    return Portrait(tuple(tuple(row.tolist()) for row in rows))
 
 
 def free_bit_count(n: int) -> int:

@@ -27,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .closure import CONSTRAINT_TABLE, in_closure_up_to
+from .closure import _window_rows, in_closure_up_to
 from .tree import Portrait, apply, portrait_of
 from .words import ALPHABET, word_element
 
@@ -203,30 +203,6 @@ def enumerate_quotient(n: int) -> QuotientSet:
                        np.concatenate(disc_keys),
                        np.concatenate(parents),
                        np.concatenate(gens))
-
-
-def _window_rows() -> np.ndarray:
-    """rows[ctx, free] is the admissible level-3 row of a window, as 8
-    bits (bit r = a_r, r read as three binary digits), given the six
-    bits ctx = a_0 a_1 a_00 a_01 a_10 a_11 above it and its free bits
-    free = a_110 a_111 a_101 a_011 a_001 (most significant first).
-
-    The pair below vertex 11 fixes beta10; the admissible pattern with
-    this (alpha0, alpha1, beta10) then forces a_000, a_010 and a_100.
-    """
-    forced = np.zeros((8, 3), dtype=np.uint32)
-    for a0, a1, b00, b01, b10, b11 in CONSTRAINT_TABLE:
-        forced[(a0 << 2) | (a1 << 1) | b10] = (b00, b01, b11)
-    ctx = np.arange(64, dtype=np.uint32)[:, None]
-    free = np.arange(32, dtype=np.uint32)[None, :]
-    a0, a1, a00, a01, a10, a11 = ((ctx >> (5 - j)) & 1 for j in range(6))
-    a001, a011, a101, a111, a110 = ((free >> j) & 1 for j in range(5))
-    b00, b01, b11 = forced[(a0 << 2) | (a1 << 1) | (a10 ^ a110 ^ a111)].transpose(2, 0, 1)
-    a000 = b01 ^ a01 ^ a001
-    a010 = b00 ^ a00 ^ a011
-    a100 = b11 ^ a11 ^ a101
-    level3 = (a000, a001, a010, a011, a100, a101, a110, a111)
-    return sum(bit << r for r, bit in enumerate(level3))
 
 
 def enumerate_admissible_decorations(n: int) -> PortraitSet:

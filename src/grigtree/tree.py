@@ -13,7 +13,9 @@ products read left to right: w^{gh} = (w^g)^h.
 
 Everything here is immutable after construction; section lookups are
 memoized per instance (a benign race under concurrent use: the value is
-deterministic either way).
+deterministic either way).  Portrait-backed truncations hand their
+stored levels to `activity_rows` directly, so reading their portraits,
+distances and activity profiles builds no section objects.
 """
 
 from __future__ import annotations
@@ -251,7 +253,16 @@ def activity(g: Automorphism, u: str) -> int:
 
 
 def activity_rows(g: Automorphism, depth: int) -> Iterator[tuple[int, ...]]:
-    """Yield decoration rows level by level (lexicographic within a level)."""
+    """Yield decoration rows level by level (lexicographic within a level).
+
+    A truncation yields its stored levels, then all-zero rows: its
+    sections below the portrait depth are the identity.
+    """
+    if isinstance(g, TruncationAutomorphism):
+        levels = g.portrait.levels
+        for n in range(depth):
+            yield levels[n] if n < len(levels) else (0,) * (1 << n)
+        return
     row = [g]
     for _ in range(depth):
         yield tuple(h.root_activity for h in row)
@@ -275,10 +286,13 @@ def compose(g: Automorphism, h: Automorphism) -> Automorphism:
 
 
 def compose_all(*gs: Automorphism) -> Automorphism:
-    out: Automorphism = IDENTITY
-    for g in gs:
-        out = compose(out, g)
-    return out
+    """The product g1 g2 ... gn, built as a balanced tree of pairwise
+    products so that section chains stay O(log n) deep."""
+    layer = list(gs) or [IDENTITY]
+    while len(layer) > 1:
+        pairs = [compose(g, h) for g, h in zip(layer[::2], layer[1::2])]
+        layer = pairs + layer[2 * len(pairs):]
+    return layer[0]
 
 
 def invert(g: Automorphism) -> Automorphism:

@@ -182,8 +182,9 @@ def beta_from_counts(word: str) -> tuple[int, int, int, int]:
 
 class WordAutomorphism(Automorphism):
     """Automorphism backed by a generator word; sections are computed by
-    wreath decomposition of the word (which never grows, so evaluation
-    terminates at any depth)."""
+    wreath decomposition of the word and then reduced.  The group is
+    contracting, so reduced sections shrink quickly with depth (raw ones
+    never grow, but barely shrink)."""
 
     __slots__ = ("word",)
 
@@ -195,8 +196,7 @@ class WordAutomorphism(Automorphism):
         return self.word.count("a") & 1
 
     def _section(self, x: int) -> Automorphism:
-        w = decompose_word(self.word)[x]
-        return word_element(w)
+        return word_element(reduce(decompose_word(self.word)[x]))
 
     def _invert(self) -> Automorphism:
         # every generator is an involution, so the inverse word is the reversal

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 import grigtree as gt
 from grigtree import IDENTITY
@@ -259,3 +260,47 @@ def test_unbounded_f_profile_keeps_growing():
     f = gt.element_of(gt.f_automaton(), "f")
     profile = gt.activity_profile(f, 16)
     assert all(x < y for x, y in zip(profile[2:], profile[3:]))
+
+
+def test_kbar_of_a_long_conjugate_product():
+    word = gt.k_word(["abc"] * 1200)
+    kbar = gt.kbar_element(word)
+    assert gt.in_closure_up_to(kbar, 6)
+    with pytest.raises(ValueError):
+        gt.kbar_element(word + "a")
+
+
+def _parses_by_recursion(word):
+    """The shape test written as the defining recursion."""
+    if not word:
+        return True
+    return any(
+        word[half:half + 4] == "abab"
+        and word[:half] == word[half + 4:2 * half + 4][::-1]
+        and _parses_by_recursion(word[2 * half + 4:])
+        for half in range((len(word) - 4) // 2 + 1))
+
+
+@given(st.lists(st.text(alphabet="abcd", max_size=3), max_size=3),
+       st.integers(min_value=0, max_value=40), st.sampled_from("abcd-"))
+def test_k_shape_check_matches_the_defining_recursion(conjugators, at, edit):
+    word = gt.k_word(conjugators)
+    if edit != "-" and word:
+        at %= len(word)
+        word = word[:at] + edit + word[at + 1:]
+    try:
+        gt.kbar_element(word)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == _parses_by_recursion(word)
+
+
+@given(st.text(alphabet="ab", max_size=16))
+def test_k_shape_check_on_ab_words(word):
+    try:
+        gt.kbar_element(word)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == _parses_by_recursion(word)

@@ -228,3 +228,18 @@ def test_kbar_designator(capsys):
     assert (code, out) == (0, "OK depth=8\n")
     code, out, _ = run(capsys, "act", "kbar:-", "0011")
     assert (code, out) == (0, "0011\n")
+
+
+def test_check_closure_of_a_long_kbar_word(capsys):
+    word = gt.k_word(["abc"] * 1200)
+    assert run(capsys, "check-closure", f"kbar:{word}", "--depth", "6") == (0, "OK depth=6\n", "")
+
+
+@pytest.mark.parametrize("exc", [RecursionError("too deep"), MemoryError(), OSError("disk full")])
+def test_resource_errors_exit_2(capsys, monkeypatch, exc):
+    def fail(*args):
+        raise exc
+    monkeypatch.setattr("grigtree.cli.in_closure_up_to", fail)
+    code, out, err = run(capsys, "check-closure", "word:a", "--depth", "4")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.strip() != "error:"

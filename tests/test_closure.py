@@ -127,6 +127,62 @@ def test_first_violation_is_shallowest_then_lexicographic():
     assert gt.portrait_closure_verdict(p2).violation == "0"
 
 
+def reference_verdict(p):
+    """The per-window scan: window_at and simulates_grigorchuk at every
+    vertex, shallowest level first, lexicographic within a level."""
+    for level in range(p.depth - 3):
+        for i in range(1 << level):
+            u = format(i, f"0{level}b") if level else ""
+            if not gt.simulates_grigorchuk(gt.window_at(p, u)):
+                return gt.ClosureVerdict(False, p.depth, u)
+    return gt.ClosureVerdict(True, p.depth)
+
+
+def flipped(p, *vertices):
+    rows = [list(row) for row in p.levels]
+    for u in vertices:
+        rows[len(u)][int(u, 2) if u else 0] ^= 1
+    return gt.Portrait(tuple(tuple(r) for r in rows))
+
+
+@st.composite
+def flipped_samples(draw):
+    depth = draw(st.integers(min_value=4, max_value=10))
+    p = gt.sample_closure_element(draw(st.integers(min_value=0, max_value=10 ** 6)), depth)
+    flips = draw(st.lists(
+        st.integers(min_value=0, max_value=depth - 1).flatmap(
+            lambda level: st.integers(min_value=0, max_value=(1 << level) - 1).map(
+                lambda i: format(i, f"0{level}b") if level else "")),
+        max_size=3))
+    return flipped(p, *flips)
+
+
+@given(flipped_samples())
+@settings(max_examples=150, deadline=None)
+def test_row_verdict_matches_per_window_scan(p):
+    fast, slow = gt.portrait_closure_verdict(p), reference_verdict(p)
+    assert (fast.ok, fast.violation) == (slow.ok, slow.violation)
+    assert fast == slow
+
+
+@pytest.mark.parametrize("depth", [4, 7, 10])
+def test_row_verdict_pinpoints_flipped_windows(depth):
+    p = gt.sample_closure_element(21, depth)
+    assert gt.portrait_closure_verdict(p) == reference_verdict(p) == gt.ClosureVerdict(True, depth)
+    # a forced level-3 bit of the root window
+    root = flipped(p, "000")
+    assert gt.portrait_closure_verdict(root) == reference_verdict(root)
+    assert gt.portrait_closure_verdict(root).violation == ""
+    # bits on the last row only break windows on the last window level
+    last = depth - 1
+    late, early = format(5 << (last - 3), f"0{last}b"), format(2 << (last - 3), f"0{last}b")
+    one = flipped(p, late)
+    assert gt.portrait_closure_verdict(one).violation == late[:-3]
+    two = flipped(p, late, early)
+    assert gt.portrait_closure_verdict(two).violation == early[:-3]
+    assert gt.portrait_closure_verdict(two) == reference_verdict(two)
+
+
 depth6_keys = st.integers(min_value=0, max_value=(1 << 63) - 2)
 
 

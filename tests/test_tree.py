@@ -223,3 +223,49 @@ def test_check_vertex():
 def test_equal_to_depth_detects_difference():
     assert gt.equal_to_depth(A, A, 8)
     assert not gt.equal_to_depth(A, B, 3)
+
+
+def portrait_by_section_walk(g, depth):
+    """Portrait read vertex by vertex through section chains."""
+    return gt.Portrait(tuple(
+        tuple(gt.activity(g, format(i, f"0{n}b") if n else "") for i in range(1 << n))
+        for n in range(depth)))
+
+
+@pytest.mark.parametrize("depth", [0, 1, 3, 5, 6, 8])
+def test_truncation_portrait_matches_section_walk(depth):
+    p = gt.portrait_of(gt.word_element("abdacabdcab"), 5)
+    t = gt.TruncationAutomorphism(p)
+    got = gt.portrait_of(t, depth)
+    assert got == portrait_by_section_walk(t, depth)
+    assert got.levels[:5] == p.levels[:depth]
+    assert all(bit == 0 for row in got.levels[5:] for bit in row)
+
+
+def test_truncation_of_empty_portrait_is_zero():
+    t = gt.TruncationAutomorphism(gt.Portrait(()))
+    assert gt.portrait_of(t, 3) == gt.portrait_of(IDENTITY, 3)
+
+
+@given(words, st.integers(min_value=0, max_value=6))
+def test_truncation_distance_to_its_source(w, depth):
+    g = gt.word_element(w)
+    t = gt.TruncationAutomorphism(gt.portrait_of(g, depth))
+    walked = zip(portrait_by_section_walk(t, 9).levels, portrait_by_section_walk(g, 9).levels)
+    first = next((n for n, (rt, rg) in enumerate(walked) if rt != rg), None)
+    d = gt.distance(t, g, cap=9)
+    assert (d.exponent, d.exact) == ((9, False) if first is None else (first, True))
+    assert d.exponent >= depth
+    assert gt.equal_to_depth(t, g, depth)
+    assert gt.equal_to_depth(t, g, depth + 2) == (d.exponent >= depth + 2)
+
+
+def test_compose_all_of_a_long_product_has_shallow_sections():
+    g = gt.compose_all(*[gt.word_element("ab")] * 3000)
+    assert gt.portrait_of(g, 3) == gt.portrait_of(gt.word_element("ab" * 3000), 3)
+
+
+@given(st.lists(st.sampled_from("abcd"), max_size=40))
+def test_compose_all_keeps_the_factor_order(letters):
+    g = gt.compose_all(*(gt.word_element(x) for x in letters))
+    assert gt.equal_to_depth(g, gt.word_element("".join(letters)), 6)

@@ -185,3 +185,26 @@ def test_word_element_empty_is_identity():
 def test_word_element_inverse_is_reversal(w):
     g = gt.word_element(w)
     assert gt.equal_to_depth(gt.invert(g), gt.word_element(w[::-1]), 6)
+
+
+def portrait_from_raw_sections(word, depth):
+    """Portrait read off raw (unreduced) section words: the bit at u is
+    the parity of the a-count of the raw section word there."""
+    sections = gt.section_words(word, depth - 1)
+    return gt.Portrait(tuple(
+        tuple(sections[format(i, f"0{n}b") if n else ""].count("a") & 1
+              for i in range(1 << n))
+        for n in range(depth)))
+
+
+@given(long_words)
+@settings(max_examples=60, deadline=None)
+def test_reduced_sections_give_the_raw_section_portrait(w):
+    assert gt.portrait_of(gt.word_element(w), 8) == portrait_from_raw_sections(w, 8)
+
+
+def test_word_sections_are_reduced():
+    g = gt.word_element("abdabac")
+    assert gt.decompose_word("abdabac")[0] == "cbad"
+    assert g.section(0).word == gt.reduce("cbad")
+    assert gt.section_words("abdabac", 1)["0"] == "cbad"  # section_words stays raw
