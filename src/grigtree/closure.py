@@ -15,12 +15,14 @@ simulates it, which this module checks to finite depth.  The same
 free/forced bit count drives the exact Hausdorff-dimension estimate
 (-> 5/8).
 
-The closure check and the sampler work on whole portrait levels as
-numpy bit rows.  Rows L+1, L+2 and L+3, reshaped to 2, 4 and 8 columns,
-hold the windows rooted at all 2^L vertices of level L side by side, so
-one level of windows is scored by one lookup of their six-bit profiles
-in a 64-entry table, and one level of samples is completed by one
-lookup in the forced-bit table.  `window_at`, `WindowDecoration` and
+The closure check and the sampler work on numpy bit rows, not on vertex
+labels.  The check lays all bits of a portrait out in vertex order (as
+Portrait.pack does), where three strided slices line up the windows
+below every vertex, and scores them all by one lookup of their six-bit
+profiles in a 64-entry table.  The sampler fills one level at a time:
+rows L-2, L-1 and L, reshaped to 2, 4 and 8 columns, hold the windows
+rooted at level L-3 side by side, and one lookup in the forced-bit
+table completes them.  `window_at`, `WindowDecoration` and
 `beta_profile` are single-window views for callers.
 """
 
@@ -29,6 +31,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -165,34 +168,37 @@ class ClosureVerdict:
         return f"VIOLATION vertex={self.violation or '-'}"
 
 
-def _label(level: int, i: int) -> str:
-    """The label of the i-th vertex (lexicographic order) of a level."""
-    return format(i, f"0{level}b") if level else ""
-
-
 def portrait_closure_verdict(p: Portrait) -> ClosureVerdict:
     """Check every complete window of a portrait (depth >= 4).
 
-    Levels of windows are scored shallowest first, each all at once from
-    the three bit rows below it; the first failing window of the first
-    failing level is the violation.
+    All bits go into one row in vertex order (level by level, as in
+    Portrait.pack), where vertex v has its children at 2v+1..2v+2, its
+    grandchildren at 4v+3..4v+6 and its great-grandchildren at
+    8v+7..8v+14.  Three strided slices thus line up the windows of all
+    vertices v < 2^(depth-3) - 1 side by side, shallowest level first and
+    lexicographic within a level, and the first failing window in that
+    order is the violation.
     """
     if p.depth < 4:
         raise ValueError("closure checks need portrait depth >= 4")
-    rows = [np.array(row, dtype=np.uint8) for row in p.levels]
-    for level in range(p.depth - 3):
-        l1 = rows[level + 1].reshape(-1, 2)
-        l2 = rows[level + 2].reshape(-1, 4)
-        l3 = rows[level + 3].reshape(-1, 8)
-        profile = (l1[:, 0] << 5) | (l1[:, 1] << 4)
-        profile |= (l2[:, 0] ^ l3[:, 2] ^ l3[:, 3]) << 3  # beta00
-        profile |= (l2[:, 1] ^ l3[:, 0] ^ l3[:, 1]) << 2  # beta01
-        profile |= (l2[:, 2] ^ l3[:, 6] ^ l3[:, 7]) << 1  # beta10
-        profile |= l2[:, 3] ^ l3[:, 4] ^ l3[:, 5]  # beta11
-        bad = ~_ADMISSIBLE[profile]
-        if bad.any():
-            return ClosureVerdict(False, p.depth, _label(level, int(bad.argmax())))
-    return ClosureVerdict(True, p.depth)
+    bits = np.fromiter(chain.from_iterable(p.levels), dtype=np.uint8,
+                       count=(1 << p.depth) - 1)
+    n = (1 << (p.depth - 3)) - 1
+    l1 = bits[1:1 + 2 * n].reshape(n, 2)
+    l2 = bits[3:3 + 4 * n].reshape(n, 4)
+    l3 = bits[7:7 + 8 * n].reshape(n, 8)
+    profile = (l1[:, 0] << 5) | (l1[:, 1] << 4)
+    profile |= (l2[:, 0] ^ l3[:, 2] ^ l3[:, 3]) << 3  # beta00
+    profile |= (l2[:, 1] ^ l3[:, 0] ^ l3[:, 1]) << 2  # beta01
+    profile |= (l2[:, 2] ^ l3[:, 6] ^ l3[:, 7]) << 1  # beta10
+    profile |= l2[:, 3] ^ l3[:, 4] ^ l3[:, 5]  # beta11
+    bad = ~_ADMISSIBLE[profile]
+    if not bad.any():
+        return ClosureVerdict(True, p.depth)
+    v = int(bad.argmax())
+    level = (v + 1).bit_length() - 1  # v is vertex v + 1 - 2^level of its level
+    u = format(v + 1 - (1 << level), f"0{level}b") if level else ""
+    return ClosureVerdict(False, p.depth, u)
 
 
 def in_closure_up_to(g: Automorphism, depth: int) -> ClosureVerdict:
@@ -274,12 +280,15 @@ def _window_rows() -> np.ndarray:
     return sum(bit << r for r, bit in enumerate(level3))
 
 
-def _seed_bit(seed: int, vertex: str) -> int:
-    """Deterministic per-vertex bit: a counter-based generator keyed by
-    (seed, vertex label), so extending the depth never changes the bits
-    already drawn at shallower vertices."""
-    h = hashlib.blake2b(f"{seed}|{vertex}".encode(), digest_size=8)
-    return h.digest()[0] & 1
+def _seed_bits(seed: int, level: int, indices) -> list[int]:
+    """Deterministic bits at the given vertices of a level: a
+    counter-based generator keyed by (seed, vertex label), so extending
+    the depth never changes the bits already drawn at shallower
+    vertices."""
+    blake2b = hashlib.blake2b
+    fmt = f"0{level}b"
+    labels = [format(i, fmt) for i in indices] if level else [""]
+    return [blake2b(f"{seed}|{u}".encode(), digest_size=8).digest()[0] & 1 for u in labels]
 
 
 def sample_closure_element(seed: int, depth: int) -> Portrait:
@@ -293,15 +302,14 @@ def sample_closure_element(seed: int, depth: int) -> Portrait:
     """
     if depth < 4:
         raise ValueError("sampling needs depth >= 4")
-    rows = [np.array([_seed_bit(seed, _label(level, i)) for i in range(1 << level)],
-                     dtype=np.uint8)
+    rows = [np.array(_seed_bits(seed, level, range(1 << level)), dtype=np.uint8)
             for level in range(3)]
     table = _window_rows()
     for level in range(3, depth):
         index = np.arange(1 << level)
         free_at = index[(index & 1 == 1) | (index & 7 == 6)]
         row = np.zeros(1 << level, dtype=np.uint8)
-        row[free_at] = [_seed_bit(seed, _label(level, i)) for i in free_at.tolist()]
+        row[free_at] = _seed_bits(seed, level, free_at.tolist())
         l1 = rows[level - 2].reshape(-1, 2)
         l2 = rows[level - 1].reshape(-1, 4)
         l3 = row.reshape(-1, 8)

@@ -144,7 +144,7 @@ class Portrait:
         for i, row in enumerate(self.levels):
             if len(row) != 1 << i:
                 raise ValueError(f"level {i} must hold {1 << i} bits, got {len(row)}")
-            if any(b not in (0, 1) for b in row):
+            if not set(row) <= {0, 1}:
                 raise ValueError(f"level {i} contains a non-bit entry")
 
     @property
@@ -192,7 +192,7 @@ class Portrait:
 
     def to_text(self) -> str:
         """One line per level, 2**i characters of 0/1 in lexicographic order."""
-        return "\n".join("".join(str(b) for b in row) for row in self.levels) + "\n"
+        return "\n".join("".join(map(str, row)) for row in self.levels) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "Portrait":
@@ -203,7 +203,7 @@ class Portrait:
                 continue
             if any(ch not in "01" for ch in line):
                 raise ValueError(f"invalid portrait line {line!r}")
-            rows.append(tuple(int(ch) for ch in line))
+            rows.append(tuple(map(int, line)))
         return cls(tuple(rows))
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 from .tree import Automorphism, IDENTITY
 
 ALPHABET = "abcd"
+_LETTERS = frozenset(ALPHABET)
 B_LETTERS = "bcd"
 
 _KLEIN = {
@@ -35,7 +36,7 @@ _PAIR_ODD = {"b": ("c", "a"), "c": ("d", "a"), "d": ("b", "")}
 
 
 def check_word(word: str) -> str:
-    if any(ch not in ALPHABET for ch in word):
+    if not set(word) <= _LETTERS:
         raise ValueError(f"invalid word {word!r}: letters must be in 'abcd'")
     return word
 
