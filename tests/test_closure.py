@@ -160,9 +160,7 @@ def flipped_samples(draw):
 @given(flipped_samples())
 @settings(max_examples=150, deadline=None)
 def test_row_verdict_matches_per_window_scan(p):
-    fast, slow = gt.portrait_closure_verdict(p), reference_verdict(p)
-    assert (fast.ok, fast.violation) == (slow.ok, slow.violation)
-    assert fast == slow
+    assert gt.portrait_closure_verdict(p) == reference_verdict(p)
 
 
 @pytest.mark.parametrize("depth", [4, 7, 10])
