@@ -18,8 +18,6 @@ from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-import networkx as nx
-
 from .tree import Automorphism, IDENTITY, activity_rows
 from .words import check_word, word_element
 
@@ -342,32 +340,63 @@ def is_bounded_automaton(automaton: MealyAutomaton) -> bool:
     a lone vertex or a simple cycle, and no cyclic component reaches
     another.
     """
-    graph = nx.MultiDiGraph()
     nontrivial = set(automaton.transitions) - set(automaton.identity_states)
-    graph.add_nodes_from(nontrivial)
-    for s in nontrivial:
-        _, n0, n1 = automaton.transitions[s]
-        for t in (n0, n1):
-            if t in nontrivial:
-                graph.add_edge(s, t)
-    cyclic_components = []
-    for comp in nx.strongly_connected_components(graph):
-        internal = [(s, t) for s, t, _ in graph.edges(comp, keys=True)
-                    if s in comp and t in comp]
+    succ = {s: [t for t in automaton.transitions[s][1:] if t in nontrivial]
+            for s in nontrivial}
+    component = _strongly_connected_components(succ)
+    cyclic = set()
+    for s, targets in succ.items():
+        internal = [t for t in targets if component[t] == component[s]]
         if not internal:
-            continue  # lone acyclic vertex
+            continue
         # a simple cycle has exactly one internal out-edge per state
-        out_counts = {s: 0 for s in comp}
-        for s, _ in internal:
-            out_counts[s] += 1
-        if any(n != 1 for n in out_counts.values()):
+        if len(internal) != 1:
             return False
-        cyclic_components.append(comp)
-    for i, comp in enumerate(cyclic_components):
-        reachable = set()
-        for s in comp:
-            reachable |= nx.descendants(graph, s)
-        for j, other in enumerate(cyclic_components):
-            if i != j and reachable & other:
-                return False
+        cyclic.add(component[s])
+    for c in cyclic:
+        # states reachable from the cycle, outside it, must reach no cycle
+        members = [s for s in nontrivial if component[s] == c]
+        seen, stack = set(members), list(members)
+        while stack:
+            for t in succ[stack.pop()]:
+                if t not in seen:
+                    if component[t] in cyclic and component[t] != c:
+                        return False
+                    seen.add(t)
+                    stack.append(t)
     return True
+
+
+def _strongly_connected_components(succ: Mapping[str, list[str]]) -> dict[str, int]:
+    """Component number of every state (iterative Tarjan)."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    component: dict[str, int] = {}
+    stack: list[str] = []
+    for root in succ:
+        if root in index:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, i = work.pop()
+            if i == 0:
+                index[v] = low[v] = len(index)
+                stack.append(v)
+            if i < len(succ[v]):
+                work.append((v, i + 1))
+                w = succ[v][i]
+                if w not in index:
+                    work.append((w, 0))
+                elif w not in component:
+                    low[v] = min(low[v], index[w])
+                continue
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    component[w] = index[v]
+                    if w == v:
+                        break
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+    return component

@@ -14,8 +14,17 @@ enumerations work on uint32 arrays of keys.  The BFS multiplies on the
 left: act(s*g, u) = act(s, u) xor act(g, u^s), so key(s*g) is key(g)
 with its bits permuted by s acting on the vertices, xor key(s).  Each
 permutation is evaluated with one 256-entry table per key byte, derived
-from the tree action of the generator itself.  Sets are deduplicated by
-sorting and comparing neighbours, and membership is a binary search.
+from the tree action of the generator itself.
+
+Each BFS layer is checked against the two layers before it, in the
+same sort that dedupes its candidates: the generators are involutions,
+so the Cayley graph is undirected and a neighbour of layer L lies in
+layer L-1, L or L+1.  Only reduced words are expanded (after a, one of
+b, c, d; after b, c or d, only a): any other product is the parent
+again, since s*s = 1, or a neighbour of the parent, since bcd = 1, so it
+is never new.  Both steps use only the group relations, never the
+window constraints.  Sets are deduplicated by sorting and comparing
+neighbours, and membership is a binary search.
 """
 
 from __future__ import annotations
@@ -64,7 +73,8 @@ class PortraitSet:
     def __init__(self, level: int, keys: np.ndarray):
         self.level = level
         keys = np.sort(np.asarray(keys, dtype=np.uint32))
-        self.keys = keys[_first_of_runs(keys)]
+        first = _first_of_runs(keys)
+        self.keys = keys if first.all() else keys[first]
 
     def __len__(self) -> int:
         return int(self.keys.size)
@@ -102,12 +112,16 @@ class QuotientSet(PortraitSet):
     """The quotient of the Grigorchuk group by its level-n stabilizer,
     with a shortest generator word as witness for each coset.
 
-    Coset i in discovery order is ALPHABET[gens[i]] times coset
-    parents[i]; the identity has parent -1.
+    Coset i in discovery order, with key disc_keys[i], is
+    ALPHABET[gens[i]] times coset parents[i]; the identity has parent -1.
+    A BFS finds each coset once, so the discovery keys must be distinct.
     """
 
-    def __init__(self, level, keys, disc_keys, parents, gens):
-        super().__init__(level, keys)
+    def __init__(self, level, disc_keys, parents, gens):
+        self.level = level
+        self.keys = np.sort(disc_keys)
+        if not _first_of_runs(self.keys).all():
+            raise RuntimeError("the BFS discovered a coset twice")
         self._disc_keys = disc_keys
         self._parents = parents
         self._gens = gens
@@ -122,7 +136,6 @@ class QuotientSet(PortraitSet):
         if i is None:
             raise KeyError(f"key {key} not in quotient set")
         if self._order is None:
-            # discovery keys are distinct, so sorted they are self.keys
             self._order = np.argsort(self._disc_keys)
         idx = int(self._order[i])
         letters = []
@@ -158,51 +171,90 @@ def _left_multipliers(n: int) -> list[tuple[np.ndarray, int]]:
 def _left_products(keys: np.ndarray, multipliers) -> list[np.ndarray]:
     """key(s*g) for every generator s (in ALPHABET order) and every key
     of g, as one uint32 array per generator."""
-    key_bytes = np.ascontiguousarray(keys, dtype="<u4").view(np.uint8).reshape(-1, 4)
-    products = []
-    for tables, key_s in multipliers:
-        out = tables[0][key_bytes[:, 0]]
-        for j in range(1, tables.shape[0]):
-            out |= tables[j][key_bytes[:, j]]
-        out ^= np.uint32(key_s)
-        products.append(out)
-    return products
+    key_bytes = _key_bytes(keys)
+    return [_left_product(key_bytes, m) for m in multipliers]
+
+
+def _key_bytes(keys: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(keys, dtype="<u4").view(np.uint8).reshape(-1, 4)
+
+
+def _left_product(key_bytes: np.ndarray, multiplier) -> np.ndarray:
+    """key(s*g) for one generator s, given the key bytes of each g."""
+    tables, key_s = multiplier
+    out = tables[0][key_bytes[:, 0]]
+    for j in range(1, tables.shape[0]):
+        out |= tables[j][key_bytes[:, j]]
+    out ^= np.uint32(key_s)
+    return out
 
 
 def enumerate_quotient(n: int) -> QuotientSet:
     """BFS of the Grigorchuk group acting on depth-n portraits, starting
     from the identity and left-multiplying by the four generators;
-    returns every reachable coset with a shortest witness word."""
+    returns every reachable coset with a shortest witness word.
+
+    The generators are involutions, so a neighbour of layer L lies in
+    layer L-1, L or L+1, and each layer is checked against the two
+    before it only.  Only reduced words are expanded: a coset reached
+    by a is multiplied by b, c and d, one reached by b, c or d by a
+    only.  A dropped product is the parent itself (s*s*g = g), or, as
+    bcd = 1 and b, c, d commute, the parent times the third of b, c, d;
+    either way it lies in layer L-1 or L, so dropping it loses no coset
+    and changes no first candidate.
+    """
     _check_level(n)
     multipliers = _left_multipliers(n)
-    visited = np.zeros(1, dtype=np.uint32)
-    disc_keys = [visited]
+    previous = np.zeros(0, dtype=np.uint32)
+    frontier = np.zeros(1, dtype=np.uint32)
+    reached = np.zeros(1, dtype=np.uint8)  # the generator each coset was reached by
+    disc_keys = [frontier]
     parents = [np.full(1, -1, dtype=np.int32)]
-    gens = [np.zeros(1, dtype=np.uint8)]
-    frontier, start = visited, 0
+    gens = [reached]
+    start = 0
     while frontier.size:
         size = frontier.size
-        # sort (key, candidate index) pairs: the first of each key run
-        # is its first candidate, product number c = g*size + frontier slot
-        products = np.concatenate(_left_products(frontier, multipliers))
-        tagged = products.astype(np.uint64) << np.uint64(32)
-        tagged |= np.arange(tagged.size, dtype=np.uint64)
+        # (frontier slots, generators to multiply them by); a is
+        # generator 0, and the identity is multiplied by all four
+        if start == 0:
+            expansions = [(np.zeros(1, dtype=np.int64), (0, 1, 2, 3))]
+        else:
+            expansions = [(np.flatnonzero(reached), (0,)),
+                          (np.flatnonzero(reached == 0), (1, 2, 3))]
+        # sort (key, tag) pairs: old keys carry tag 0, and candidate
+        # c = gen*size + frontier slot carries c + 1; a run of equal keys
+        # is fresh unless it starts with tag 0, and then its first tag is
+        # its first candidate.  Each pair is one little-endian uint64,
+        # key in the high half.
+        old = previous.size + size
+        tagged = np.empty(old + sum(slots.size * len(g) for slots, g in expansions),
+                          dtype="<u8")
+        pairs = tagged.view("<u4").reshape(-1, 2)
+        pairs[:previous.size, 1] = previous
+        pairs[previous.size:old, 1] = frontier
+        pairs[:old, 0] = 0
+        at = old
+        for slots, generators in expansions:
+            key_bytes = _key_bytes(frontier[slots])
+            for g in generators:
+                pairs[at:at + slots.size, 1] = _left_product(key_bytes, multipliers[g])
+                pairs[at:at + slots.size, 0] = slots + (g * size + 1)
+                at += slots.size
         tagged.sort()
-        keys = (tagged >> np.uint64(32)).astype(np.uint32)
-        first = _first_of_runs(keys)
-        keys, cand = keys[first], (tagged[first] & np.uint64(0xFFFFFFFF)).astype(np.int64)
-        at = np.minimum(np.searchsorted(visited, keys), visited.size - 1)
-        fresh = visited[at] != keys
-        frontier, cand = keys[fresh], cand[fresh]
+        fresh = _first_of_runs(pairs[:, 1])
+        fresh &= pairs[:, 0] != 0
+        chosen = tagged[fresh].view("<u4").reshape(-1, 2)
+        previous, frontier = frontier, chosen[:, 1].copy()
+        cand = chosen[:, 0] - 1
+        reached = (cand // size).astype(np.uint8)
         disc_keys.append(frontier)
         parents.append((start + cand % size).astype(np.int32))
-        gens.append((cand // size).astype(np.uint8))
-        visited = np.sort(np.concatenate((visited, frontier)), kind="stable")
+        gens.append(reached)
         start += size
-    return QuotientSet(n, visited,
-                       np.concatenate(disc_keys),
-                       np.concatenate(parents),
-                       np.concatenate(gens))
+        if start > 1 << ((1 << n) - 1):  # more cosets than keys: a key came back
+            raise RuntimeError("the BFS discovered a coset twice")
+    return QuotientSet(n, np.concatenate(disc_keys),
+                       np.concatenate(parents), np.concatenate(gens))
 
 
 def enumerate_admissible_decorations(n: int) -> PortraitSet:
@@ -312,4 +364,4 @@ def load_portrait_set(path) -> PortraitSet:
         raise ValueError(
             f"portrait cache key {int(keys[-1])} does not fit in the "
             f"{bits} bits of level {level}")
-    return PortraitSet(level, keys.astype(np.uint32))
+    return PortraitSet(level, keys.astype(np.uint32, copy=False))

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import grigtree as gt
 from grigtree import IDENTITY
@@ -304,3 +309,30 @@ def test_k_shape_check_on_ab_words(word):
     except ValueError:
         accepted = False
     assert accepted == _parses_by_recursion(word)
+
+
+def test_cli_import_does_not_load_networkx():
+    code = "import sys, grigtree.cli; print('networkx' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(gt.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.tuples(st.integers(0, 1), st.integers(0, n - 1), st.integers(0, n - 1)),
+    min_size=n, max_size=n)))
+def test_scc_matches_networkx(rows):
+    nx = pytest.importorskip("networkx")
+    from grigtree.automata import _strongly_connected_components
+    succ = {f"s{i}": [f"s{n0}", f"s{n1}"] for i, (_, n0, n1) in enumerate(rows)}
+    component = _strongly_connected_components(succ)
+    graph = nx.DiGraph()
+    graph.add_nodes_from(succ)
+    graph.add_edges_from((s, t) for s, ts in succ.items() for t in ts)
+    expected = {frozenset(c) for c in nx.strongly_connected_components(graph)}
+    got = {}
+    for s, c in component.items():
+        got.setdefault(c, set()).add(s)
+    assert {frozenset(c) for c in got.values()} == expected

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import grigtree as gt
 from grigtree import Portrait, TruncationAutomorphism
-from grigtree.oracle import _left_multipliers, _left_products
+from grigtree.oracle import QuotientSet, _left_multipliers, _left_products
 
 
 def key_width_bytes(level):
@@ -112,6 +112,66 @@ def test_left_products_match_tree_composition(case):
         for key, got in zip(keys, out.tolist()):
             g = TruncationAutomorphism(Portrait.unpack(key, n))
             assert got == gt.portrait_of(gt.compose(s, g), n).pack()
+
+
+def reference_quotient(n):
+    """The BFS without its shortcuts: every coset of a layer is multiplied
+    by all four generators, and the candidates are checked against every
+    coset visited so far.  Returns (sorted keys, discovery keys, parents,
+    generators)."""
+    multipliers = _left_multipliers(n)
+    visited = np.zeros(1, dtype=np.uint32)
+    disc_keys = [visited]
+    parents = [np.full(1, -1, dtype=np.int32)]
+    gens = [np.zeros(1, dtype=np.uint8)]
+    frontier, start = visited, 0
+    while frontier.size:
+        size = frontier.size
+        products = np.concatenate(_left_products(frontier, multipliers))
+        # a stable sort puts the first candidate of each key first
+        cand = np.argsort(products, kind="stable")
+        keys = products[cand]
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        keys, cand = keys[first], cand[first]
+        at = np.minimum(np.searchsorted(visited, keys), visited.size - 1)
+        fresh = visited[at] != keys
+        frontier, cand = keys[fresh], cand[fresh]
+        disc_keys.append(frontier)
+        parents.append((start + cand % size).astype(np.int32))
+        gens.append((cand // size).astype(np.uint8))
+        visited = np.sort(np.concatenate((visited, frontier)))
+        start += size
+    return visited, np.concatenate(disc_keys), np.concatenate(parents), np.concatenate(gens)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_layer_local_bfs_matches_the_full_visited_bfs(n, quotient4):
+    q = quotient4 if n == 4 else gt.enumerate_quotient(n)
+    got = (q.keys, q._disc_keys, q._parents, q._gens)
+    for mine, ref in zip(got, reference_quotient(n)):
+        assert mine.dtype == ref.dtype
+        assert np.array_equal(mine, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 4, 5]).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(
+        st.integers(0, (1 << ((1 << n) - 1)) - 1), min_size=1, max_size=8))))
+def test_generator_steps_are_involutions(case):
+    # the layer-local BFS relies on s*s = 1 for every generator s
+    n, keys = case
+    keys = np.array(keys, dtype=np.uint32)
+    for multiplier in MULTIPLIERS[n]:
+        once = _left_products(keys, [multiplier])[0]
+        assert np.array_equal(_left_products(once, [multiplier])[0], keys)
+
+
+def test_quotient_set_rejects_a_coset_found_twice():
+    disc = np.array([0, 3, 1, 3], dtype=np.uint32)
+    with pytest.raises(RuntimeError, match="twice"):
+        QuotientSet(2, disc, np.array([-1, 0, 0, 1], dtype=np.int32),
+                    np.zeros(4, dtype=np.uint8))
 
 
 def test_witnesses_are_shortest_words():
