@@ -168,13 +168,6 @@ def _left_multipliers(n: int) -> list[tuple[np.ndarray, int]]:
     return multipliers
 
 
-def _left_products(keys: np.ndarray, multipliers) -> list[np.ndarray]:
-    """key(s*g) for every generator s (in ALPHABET order) and every key
-    of g, as one uint32 array per generator."""
-    key_bytes = _key_bytes(keys)
-    return [_left_product(key_bytes, m) for m in multipliers]
-
-
 def _key_bytes(keys: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(keys, dtype="<u4").view(np.uint8).reshape(-1, 4)
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import grigtree as gt
 from grigtree import Portrait, TruncationAutomorphism
-from grigtree.oracle import QuotientSet, _left_multipliers, _left_products
+from grigtree.oracle import QuotientSet, _key_bytes, _left_multipliers, _left_product
 
 
 def key_width_bytes(level):
@@ -98,6 +98,11 @@ def test_admissible_extension_matches_exhaustive_filter(n):
 
 
 MULTIPLIERS = {n: _left_multipliers(n) for n in (3, 4, 5)}
+
+
+def _left_products(keys, multipliers):
+    """key(s*g) for every generator s (in ALPHABET order) and every key of g."""
+    return [_left_product(_key_bytes(keys), m) for m in multipliers]
 
 
 @settings(max_examples=60, deadline=None)
