@@ -167,6 +167,44 @@ def test_sample_output_bytes_are_pinned(capsys, seed, depth):
     assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_SHA256[seed, depth]
 
 
+PORTRAIT_KBAR_WORD = gt.k_word(["b", "cab"])
+
+PORTRAIT_SHA256 = {
+    ("auto:f", 10, "text"): "7092a0a7eef233331d0d8f1e0231b32b67dbc40d37bee03deb5aef08f5118360",
+    ("auto:f", 10, "dot"): "c2207475a38451132bb6239ace909dc374ca456549ec822fbde072505026dbbf",
+    ("word:abacabad", 9, "text"): "bf53f20c7bae5b5a0bcfc5f42a16c829850eb1e409028f8087ef278b2318c5d0",
+    ("word:abacabad", 9, "dot"): "898ea845841b9a42eb7c7cd63d181adcfd7899ad9de7b2f58f230a8b82c153cf",
+    (f"kbar:{PORTRAIT_KBAR_WORD}", 9, "text"):
+        "a0429ee91c063aab039bca961b2fef7fdae61de3938471c6e0e0e56cdb296d04",
+    (f"kbar:{PORTRAIT_KBAR_WORD}", 9, "dot"):
+        "425a39cf40057d6f5eb459e18d82e871e092a9731e0ecd0b9d710f8f8b6e14f8",
+}
+
+
+@pytest.mark.parametrize("spec,depth,fmt", sorted(PORTRAIT_SHA256))
+def test_portrait_output_bytes_are_pinned(capsys, spec, depth, fmt):
+    code, out, _ = run(capsys, "portrait", spec, "--depth", str(depth), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PORTRAIT_SHA256[spec, depth, fmt]
+
+
+@pytest.mark.parametrize("flip,expected", [
+    (None, (0, "OK depth=10\n")),
+    ("101100111", (1, "VIOLATION vertex=101100\n")),
+    ("0110", (1, "VIOLATION vertex=0\n")),
+])
+def test_check_closure_of_a_sampled_portrait_file_is_pinned(capsys, tmp_path, flip, expected):
+    rows = gt.sample_closure_element(17, 10).to_text().splitlines()
+    if flip is not None:
+        row = list(rows[len(flip)])
+        row[int(flip, 2)] = "10"[int(row[int(flip, 2)])]
+        rows[len(flip)] = "".join(row)
+    path = tmp_path / "p.txt"
+    path.write_text("\n".join(rows) + "\n")
+    code, out, _ = run(capsys, "check-closure", f"portrait:{path}", "--depth", "10")
+    assert (code, out) == expected
+
+
 def test_bounded_automaton_verdicts(capsys):
     code, out, _ = run(capsys, "bounded", "auto:grig")
     assert code == 0

@@ -242,6 +242,13 @@ def test_truncation_portrait_matches_section_walk(depth):
     assert all(bit == 0 for row in got.levels[5:] for bit in row)
 
 
+@pytest.mark.parametrize("depth", [4, 6, 8])
+def test_square_of_a_sampled_truncation_matches_section_walk(depth):
+    t = gt.TruncationAutomorphism(gt.sample_closure_element(29, 7))
+    tt = gt.compose(t, t)
+    assert gt.portrait_of(tt, depth) == portrait_by_section_walk(tt, depth)
+
+
 def test_truncation_of_empty_portrait_is_zero():
     t = gt.TruncationAutomorphism(gt.Portrait(()))
     assert gt.portrait_of(t, 3) == gt.portrait_of(IDENTITY, 3)
