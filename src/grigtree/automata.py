@@ -228,23 +228,31 @@ def k_word(conjugators: Iterable[str]) -> str:
 def _parses_as_conjugate_product(word: str) -> bool:
     """Does the word split into blocks reverse(w) + "abab" + w?
 
-    A block starting at i is fixed by the occurrence of "abab" at i+half
-    that opens it.  Depth-first search over block starts, shortest block
-    first, remembering the starts from which no split reaches the end.
+    The arm of an "abab" at p is the largest m with word[p-1-j] ==
+    word[p+4+j] for all j < m, and it opens a block at i <= p iff p - i
+    is at most its arm.  Depth-first search over block starts, shortest
+    block first, scanning occurrences up to the largest arm past the
+    start and remembering the starts from which no split reaches the end.
     """
     n = len(word)
     abab = [p for p in range(n - 3) if word.startswith("abab", p)]
+    arms = []
+    for p in abab:
+        m, top = 0, min(p, n - p - 4)
+        while m < top and word[p - 1 - m] == word[p + 4 + m]:
+            m += 1
+        arms.append(m)
+    reach = max(arms, default=0)
     dead: set[int] = set()
     stack = [(0, 0)]  # (block start, index of the next abab occurrence to try)
     while stack:
         i, k = stack[-1]
         if i == n:
             return True
-        # the block must end by n: end = 2p - i + 4 <= n
-        for k in range(k, bisect_right(abab, (n + i - 4) // 2)):
+        for k in range(k, bisect_right(abab, i + reach)):
             p = abab[k]
             end = 2 * p - i + 4
-            if end not in dead and word[i:p] == word[p + 4:end][::-1]:
+            if p - i <= arms[k] and end not in dead:
                 stack[-1] = (i, k + 1)
                 stack.append((end, bisect_left(abab, end)))
                 break
@@ -327,7 +335,7 @@ def activity_profile(g: Automorphism, levels: int) -> list[int]:
     what 'bounded automorphism' means."""
     if levels < 0:
         raise ValueError("levels must be non-negative")
-    return [sum(row) for row in activity_rows(g, levels + 1)]
+    return [int(row.sum()) for row in activity_rows(g, levels + 1)]
 
 
 def is_bounded_automaton(automaton: MealyAutomaton) -> bool:

@@ -28,7 +28,7 @@ from .closure import (free_bit_count, hausdorff_estimate, in_closure_up_to,
                       sample_closure_element)
 from .oracle import enumerate_quotient, save_portrait_set, verify_window_constraints
 from .tree import (Automorphism, Portrait, TruncationAutomorphism, apply,
-                   check_vertex, portrait_of)
+                   check_vertex, portrait_of, vertex_label)
 from .words import check_word, decompose_word, reduce, section_words, word_element
 
 
@@ -107,14 +107,12 @@ def cmd_act(args) -> int:
 
 def _portrait_dot(p: Portrait) -> str:
     lines = ["digraph portrait {", '  node [shape=circle];']
-    for level, row in enumerate(p.levels):
-        for i, bit in enumerate(row):
-            u = format(i, f"0{level}b") if level else ""
-            name = u or "-"
-            lines.append(f'  "{name}" [label="{name} {bit}"];')
-            if level:
-                parent = u[:-1] or "-"
-                lines.append(f'  "{parent}" -> "{name}";')
+    for v, bit in enumerate(p.bits.tolist()):
+        u = vertex_label(v)
+        name = u or "-"
+        lines.append(f'  "{name}" [label="{name} {bit}"];')
+        if u:
+            lines.append(f'  "{u[:-1] or "-"}" -> "{name}";')
     lines.append("}")
     return "\n".join(lines)
 

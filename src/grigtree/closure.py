@@ -15,15 +15,14 @@ simulates it, which this module checks to finite depth.  The same
 free/forced bit count drives the exact Hausdorff-dimension estimate
 (-> 5/8).
 
-The closure check and the sampler work on numpy bit rows, not on vertex
-labels.  The check lays all bits of a portrait out in vertex order (as
-Portrait.pack does), where three strided slices line up the windows
-below every vertex, and scores them all by one lookup of their six-bit
-profiles in a 64-entry table.  The sampler fills one level at a time:
-rows L-2, L-1 and L, reshaped to 2, 4 and 8 columns, hold the windows
-rooted at level L-3 side by side, and one lookup in the forced-bit
-table completes them.  `window_at`, `WindowDecoration` and
-`beta_profile` are single-window views for callers.
+Windows are read by vertex index out of a portrait's bit row: the
+windows below consecutive vertices are three slices reshaped to 2, 4
+and 8 columns.  `_profiles` turns them into six-bit profiles, scored by
+a 64-entry table, for all windows in the closure check and for one in
+`window_at`, `beta_profile` and `simulates_grigorchuk`.  The forced-bit
+table is derived from the same 64 entries.  The sampler fills a level
+at a time: rows L-2, L-1 and L hold the windows rooted at level L-3
+side by side, and one lookup in the forced-bit table completes them.
 """
 
 from __future__ import annotations
@@ -31,11 +30,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import lru_cache
 
 import numpy as np
 
-from .tree import Automorphism, Portrait, portrait_of
+from .tree import Automorphism, Portrait, portrait_of, vertex_index, vertex_label
 
 __all__ = [
     "BetaProfile",
@@ -81,17 +80,53 @@ CONSTRAINT_TABLE: frozenset[tuple[int, int, int, int, int, int]] = frozenset({
     (1, 1, 0, 1, 1, 0), (1, 1, 1, 0, 0, 1),
 })
 
-# (alpha0, alpha1, beta10) determines the admissible row uniquely.
-_ROW_BY_ALPHA_B10: dict[tuple[int, int, int], tuple[int, int, int]] = {
-    (r[0], r[1], r[4]): (r[2], r[3], r[5]) for r in CONSTRAINT_TABLE
-}
-assert len(_ROW_BY_ALPHA_B10) == 8
-
 #: Admissibility of the 64 six-bit window profiles, indexed by
 #: alpha0 alpha1 beta00 beta01 beta10 beta11 read as a binary number.
 _ADMISSIBLE = np.zeros(64, dtype=bool)
 _ADMISSIBLE[[sum(bit << (5 - j) for j, bit in enumerate(row))
              for row in CONSTRAINT_TABLE]] = True
+
+#: Level-3 positions of a window's free bits a_001 a_011 a_101 a_111
+#: a_110, least significant first in a free-bit index.
+_FREE = (1, 3, 5, 7, 6)
+
+
+def _profiles(l1, l2, l3):
+    """Six-bit profiles alpha0 alpha1 beta00 beta01 beta10 beta11 (most
+    significant first) of windows given by their level rows, as arrays
+    with 2, 4 and 8 columns (one window per row)."""
+    return ((l1[:, 0] << 5) | (l1[:, 1] << 4)
+            | (l2[:, 0] ^ l3[:, 2] ^ l3[:, 3]) << 3  # beta00
+            | (l2[:, 1] ^ l3[:, 0] ^ l3[:, 1]) << 2  # beta01
+            | (l2[:, 2] ^ l3[:, 6] ^ l3[:, 7]) << 1  # beta10
+            | (l2[:, 3] ^ l3[:, 4] ^ l3[:, 5]))  # beta11
+
+
+def _windows(bits: np.ndarray, v: int, n: int) -> list[np.ndarray]:
+    """Level rows 1-3 of the windows below vertex indices v..v+n-1 of a
+    vertex-order bit row, with 2, 4 and 8 columns."""
+    return [bits[((v + 1) << k) - 1:((v + 1 + n) << k) - 1].reshape(n, 1 << k)
+            for k in (1, 2, 3)]
+
+
+@lru_cache(maxsize=None)
+def _window_rows() -> np.ndarray:
+    """rows[ctx, free] is the admissible level-3 row of a window, as 8
+    bits (bit r = a_r, r read as three binary digits), given the six
+    bits ctx = a_0 a_1 a_00 a_01 a_10 a_11 above it (most significant
+    first) and its free-bit index: of all 64 x 256 (context, row) pairs,
+    exactly one admissible row has each (context, free bits)."""
+    ctx, row = np.divmod(np.arange(64 * 256), 256)
+    above = (ctx[:, None] >> np.arange(5, -1, -1)) & 1
+    keep = _ADMISSIBLE[_profiles(above[:, :2], above[:, 2:], (row[:, None] >> np.arange(8)) & 1)]
+    ctx, row = ctx[keep], row[keep]
+    cell = ctx * 32 + sum(((row >> r) & 1) << j for j, r in enumerate(_FREE))
+    assert np.array_equal(np.sort(cell), np.arange(64 * 32)), "forcing is not unique"
+    rows = np.zeros(64 * 32, dtype=np.uint32)
+    rows[cell] = row
+    rows = rows.reshape(64, 32)
+    rows.flags.writeable = False
+    return rows
 
 
 @dataclass(frozen=True)
@@ -116,37 +151,27 @@ class WindowDecoration:
 def window_at(p: Portrait, u: str = "") -> WindowDecoration:
     """The depth-3 window below vertex u, read out of a portrait
     (requires p.depth >= |u| + 4)."""
+    v = vertex_index(u)
     if p.depth < len(u) + 4:
         raise ValueError(
             f"portrait depth {p.depth} too shallow for a window below {u!r}")
-    return WindowDecoration(
-        (p.bit(u + "0"), p.bit(u + "1")),
-        tuple(p.bit(u + f"{i:02b}") for i in range(4)),
-        tuple(p.bit(u + f"{i:03b}") for i in range(8)),
-    )
+    return WindowDecoration(*(tuple(row[0].tolist()) for row in _windows(p.bits, v, 1)))
 
 
 def beta_profile(p: Portrait) -> BetaProfile:
     """The BetaProfile of the root window of a portrait (depth >= 4)."""
-    return _window_profile(window_at(p, ""))
+    profile = _profile(window_at(p, ""))
+    return BetaProfile(*((profile >> (5 - j)) & 1 for j in range(6)))
 
 
-def _window_profile(w: WindowDecoration) -> BetaProfile:
-    a00, a01, a10, a11 = w.level2
-    a000, a001, a010, a011, a100, a101, a110, a111 = w.level3
-    return BetaProfile(
-        alpha0=w.level1[0],
-        alpha1=w.level1[1],
-        beta00=a00 ^ a010 ^ a011,
-        beta01=a01 ^ a000 ^ a001,
-        beta10=a10 ^ a110 ^ a111,
-        beta11=a11 ^ a100 ^ a101,
-    )
+def _profile(w: WindowDecoration) -> int:
+    rows = (np.array([row], dtype=np.uint8) for row in (w.level1, w.level2, w.level3))
+    return int(_profiles(*rows)[0])
 
 
 def simulates_grigorchuk(w: WindowDecoration) -> bool:
     """Does this window's profile match an admissible pattern?"""
-    return _window_profile(w).as_tuple() in CONSTRAINT_TABLE
+    return bool(_ADMISSIBLE[_profile(w)])
 
 
 @dataclass(frozen=True)
@@ -171,34 +196,19 @@ class ClosureVerdict:
 def portrait_closure_verdict(p: Portrait) -> ClosureVerdict:
     """Check every complete window of a portrait (depth >= 4).
 
-    All bits go into one row in vertex order (level by level, as in
-    Portrait.pack), where vertex v has its children at 2v+1..2v+2, its
-    grandchildren at 4v+3..4v+6 and its great-grandchildren at
-    8v+7..8v+14.  Three strided slices thus line up the windows of all
-    vertices v < 2^(depth-3) - 1 side by side, shallowest level first and
+    In the vertex-order bit row, vertex v has its children at 2v+1..2v+2,
+    its grandchildren at 4v+3..4v+6 and its great-grandchildren at
+    8v+7..8v+14.  Three slices thus line up the windows of all vertices
+    v < 2^(depth-3) - 1 side by side, shallowest level first and
     lexicographic within a level, and the first failing window in that
     order is the violation.
     """
     if p.depth < 4:
         raise ValueError("closure checks need portrait depth >= 4")
-    bits = np.fromiter(chain.from_iterable(p.levels), dtype=np.uint8,
-                       count=(1 << p.depth) - 1)
-    n = (1 << (p.depth - 3)) - 1
-    l1 = bits[1:1 + 2 * n].reshape(n, 2)
-    l2 = bits[3:3 + 4 * n].reshape(n, 4)
-    l3 = bits[7:7 + 8 * n].reshape(n, 8)
-    profile = (l1[:, 0] << 5) | (l1[:, 1] << 4)
-    profile |= (l2[:, 0] ^ l3[:, 2] ^ l3[:, 3]) << 3  # beta00
-    profile |= (l2[:, 1] ^ l3[:, 0] ^ l3[:, 1]) << 2  # beta01
-    profile |= (l2[:, 2] ^ l3[:, 6] ^ l3[:, 7]) << 1  # beta10
-    profile |= l2[:, 3] ^ l3[:, 4] ^ l3[:, 5]  # beta11
-    bad = ~_ADMISSIBLE[profile]
+    bad = ~_ADMISSIBLE[_profiles(*_windows(p.bits, 0, (1 << (p.depth - 3)) - 1))]
     if not bad.any():
         return ClosureVerdict(True, p.depth)
-    v = int(bad.argmax())
-    level = (v + 1).bit_length() - 1  # v is vertex v + 1 - 2^level of its level
-    u = format(v + 1 - (1 << level), f"0{level}b") if level else ""
-    return ClosureVerdict(False, p.depth, u)
+    return ClosureVerdict(False, p.depth, vertex_label(int(bad.argmax())))
 
 
 def in_closure_up_to(g: Automorphism, depth: int) -> ClosureVerdict:
@@ -223,7 +233,7 @@ def within_sixteenth_of_G(g: Automorphism, quotient=None) -> bool:
         if getattr(quotient, "level", 4) != 4:
             raise ValueError("quotient cache must be at level 4")
         return p in quotient
-    return simulates_grigorchuk(window_at(p, ""))
+    return bool(portrait_closure_verdict(p))
 
 
 def complete_window(
@@ -234,50 +244,17 @@ def complete_window(
     """Fill in the three forced level-3 bits of a window.
 
     `free` holds the freely chosen level-3 bits in the order
-    (a_001, a_011, a_101, a_111, a_110).  The pair below vertex 11 fixes
-    beta10; the unique admissible pattern with this (alpha0, alpha1,
-    beta10) then forces a_000, a_010 and a_100.  The result always
-    simulates the group.
+    (a_001, a_011, a_101, a_111, a_110); a_000, a_010 and a_100 are then
+    forced by the window constraint.  The result always simulates the
+    group.
     """
-    a0, a1 = level1
-    a00, a01, a10, a11 = level2
-    a001, a011, a101, a111, a110 = free
-    for b in (a0, a1, a00, a01, a10, a11, a001, a011, a101, a111, a110):
-        if b not in (0, 1):
-            raise ValueError("window inputs must be bits")
-    b10 = a10 ^ a110 ^ a111
-    b00, b01, b11 = _ROW_BY_ALPHA_B10[(a0, a1, b10)]
-    a010 = b00 ^ a00 ^ a011
-    a000 = b01 ^ a01 ^ a001
-    a100 = b11 ^ a11 ^ a101
-    return WindowDecoration(
-        (a0, a1),
-        (a00, a01, a10, a11),
-        (a000, a001, a010, a011, a100, a101, a110, a111),
-    )
-
-
-def _window_rows() -> np.ndarray:
-    """rows[ctx, free] is the admissible level-3 row of a window, as 8
-    bits (bit r = a_r, r read as three binary digits), given the six
-    bits ctx = a_0 a_1 a_00 a_01 a_10 a_11 above it and its free bits
-    free = a_110 a_111 a_101 a_011 a_001 (most significant first).
-
-    The pair below vertex 11 fixes beta10; the admissible pattern with
-    this (alpha0, alpha1, beta10) then forces a_000, a_010 and a_100.
-    """
-    forced = np.array([_ROW_BY_ALPHA_B10[(k >> 2, (k >> 1) & 1, k & 1)]
-                       for k in range(8)], dtype=np.uint32)
-    ctx = np.arange(64, dtype=np.uint32)[:, None]
-    free = np.arange(32, dtype=np.uint32)[None, :]
-    a0, a1, a00, a01, a10, a11 = ((ctx >> (5 - j)) & 1 for j in range(6))
-    a001, a011, a101, a111, a110 = ((free >> j) & 1 for j in range(5))
-    b00, b01, b11 = forced[(a0 << 2) | (a1 << 1) | (a10 ^ a110 ^ a111)].transpose(2, 0, 1)
-    a000 = b01 ^ a01 ^ a001
-    a010 = b00 ^ a00 ^ a011
-    a100 = b11 ^ a11 ^ a101
-    level3 = (a000, a001, a010, a011, a100, a101, a110, a111)
-    return sum(bit << r for r, bit in enumerate(level3))
+    if ((len(level1), len(level2), len(free)) != (2, 4, 5)
+            or not set((*level1, *level2, *free)) <= {0, 1}):
+        raise ValueError("window inputs must be 2, 4 and 5 bits")
+    ctx = sum(bit << (5 - j) for j, bit in enumerate((*level1, *level2)))
+    row = int(_window_rows()[ctx, sum(bit << j for j, bit in enumerate(free))])
+    return WindowDecoration(tuple(level1), tuple(level2),
+                            tuple((row >> r) & 1 for r in range(8)))
 
 
 def _seed_bits(seed: int, level: int, indices) -> list[int]:
@@ -286,8 +263,7 @@ def _seed_bits(seed: int, level: int, indices) -> list[int]:
     the depth never changes the bits already drawn at shallower
     vertices."""
     blake2b = hashlib.blake2b
-    fmt = f"0{level}b"
-    labels = [format(i, fmt) for i in indices] if level else [""]
+    labels = (vertex_label((1 << level) - 1 + i) for i in indices)
     return [blake2b(f"{seed}|{u}".encode(), digest_size=8).digest()[0] & 1 for u in labels]
 
 
@@ -315,11 +291,10 @@ def sample_closure_element(seed: int, depth: int) -> Portrait:
         l3 = row.reshape(-1, 8)
         ctx = ((l1[:, 0] << 5) | (l1[:, 1] << 4) | (l2[:, 0] << 3)
                | (l2[:, 1] << 2) | (l2[:, 2] << 1) | l2[:, 3])
-        free = ((l3[:, 6] << 4) | (l3[:, 7] << 3) | (l3[:, 5] << 2)
-                | (l3[:, 3] << 1) | l3[:, 1])
+        free = sum(l3[:, r] << j for j, r in enumerate(_FREE))
         filled = table[ctx, free][:, None] >> np.arange(8, dtype=np.uint32)
         rows.append((filled & 1).astype(np.uint8).ravel())
-    return Portrait(tuple(tuple(row.tolist()) for row in rows))
+    return Portrait(rows)
 
 
 def free_bit_count(n: int) -> int:

@@ -37,7 +37,7 @@ from typing import Iterator
 import numpy as np
 
 from .closure import _window_rows, in_closure_up_to
-from .tree import Portrait, apply, portrait_of
+from .tree import Portrait, apply, portrait_of, vertex_index, vertex_label
 from .words import ALPHABET, word_element
 
 __all__ = [
@@ -68,13 +68,17 @@ def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
 
 
 class PortraitSet:
-    """A set of depth-n portraits, stored as sorted packed keys."""
+    """A set of depth-n portraits, stored as sorted packed keys.  Keys
+    that are already strictly increasing are kept as given, not copied."""
 
     def __init__(self, level: int, keys: np.ndarray):
         self.level = level
-        keys = np.sort(np.asarray(keys, dtype=np.uint32))
-        first = _first_of_runs(keys)
-        self.keys = keys if first.all() else keys[first]
+        keys = np.asarray(keys, dtype=np.uint32)
+        if not np.all(keys[1:] > keys[:-1]):
+            keys = np.sort(keys)
+            first = _first_of_runs(keys)
+            keys = keys if first.all() else keys[first]
+        self.keys = keys
 
     def __len__(self) -> int:
         return int(self.keys.size)
@@ -118,9 +122,8 @@ class QuotientSet(PortraitSet):
     """
 
     def __init__(self, level, disc_keys, parents, gens):
-        self.level = level
-        self.keys = np.sort(disc_keys)
-        if not _first_of_runs(self.keys).all():
+        super().__init__(level, disc_keys)
+        if len(self) != disc_keys.size:
             raise RuntimeError("the BFS discovered a coset twice")
         self._disc_keys = disc_keys
         self._parents = parents
@@ -153,16 +156,14 @@ def _left_multipliers(n: int) -> list[tuple[np.ndarray, int]]:
     byte j of k, of value v, contributes to P_s(k).  Everything comes
     from the tree action of the generator element.
     """
-    vertices = [format(i, f"0{m}b") if m else ""
-                for m in range(n) for i in range(1 << m)]
-    position = {u: p for p, u in enumerate(vertices)}
+    vertices = [vertex_label(v) for v in range((1 << n) - 1)]
     byte = np.arange(256, dtype=np.uint32)
     multipliers = []
     for letter in ALPHABET:
         s = word_element(letter)
         tables = np.zeros(((len(vertices) + 7) // 8, 256), dtype=np.uint32)
         for p, u in enumerate(vertices):
-            src = position[apply(s, u)]
+            src = vertex_index(apply(s, u))
             tables[src >> 3] |= ((byte >> (src & 7)) & 1) << p
         multipliers.append((tables, portrait_of(s, n).pack()))
     return multipliers

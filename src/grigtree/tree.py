@@ -13,9 +13,14 @@ products read left to right: w^{gh} = (w^g)^h.
 
 Everything here is immutable after construction; section lookups are
 memoized per instance (a benign race under concurrent use: the value is
-deterministic either way).  Portrait-backed truncations hand their
-stored levels to `activity_rows` directly, so reading their portraits,
-distances and activity profiles builds no section objects.
+deterministic either way).
+
+A portrait stores one bit row in vertex order (level by level,
+lexicographic within a level): vertex u has index vertex_index(u),
+vertex v has its children at 2v+1 and 2v+2, and level n below v is the
+slice of 2^n bits from (v+1)*2^n - 1.  Truncations and their sections
+are views (portrait, v) whose levels `activity_rows` hands over as
+such slices.
 """
 
 from __future__ import annotations
@@ -24,12 +29,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+import numpy as np
+
 
 def check_vertex(u: str) -> str:
     """Validate a vertex label (a string over {0,1}; "" is the root)."""
     if any(ch not in "01" for ch in u):
         raise ValueError(f"invalid vertex label {u!r}: letters must be 0 or 1")
     return u
+
+
+def vertex_index(u: str) -> int:
+    """Position of vertex u in vertex order: "1" + u in binary, minus 1."""
+    return int("1" + check_vertex(u), 2) - 1
+
+
+def vertex_label(v: int) -> str:
+    """The vertex at position v in vertex order (inverse of vertex_index)."""
+    return bin(v + 1)[3:]
 
 
 class Automorphism:
@@ -72,42 +89,32 @@ class Automorphism:
         return invert(self)
 
 
-class _Identity(Automorphism):
-    __slots__ = ()
+class _Product(Automorphism):
+    """Composition g1 g2 ... gn of a flat factor tuple, evaluated lazily:
+    (g1 g2 ...)_x = (g1)_x (g2)_{x^g1} ...  The empty product is IDENTITY."""
 
-    @property
-    def root_activity(self) -> int:
-        return 0
+    __slots__ = ("factors", "root_activity")
+
+    def __init__(self, factors: tuple[Automorphism, ...]):
+        self.factors = factors
+        self.root_activity = sum(g.root_activity for g in factors) & 1
 
     def _section(self, x: int) -> Automorphism:
-        return self
+        sections = []
+        for g in self.factors:
+            sections.append(g.section(x))
+            x ^= g.root_activity
+        return compose_all(*sections)
 
     def _invert(self) -> Automorphism:
-        return self
+        return compose_all(*map(invert, reversed(self.factors)))
 
     def __repr__(self) -> str:
-        return "IDENTITY"
+        return f"compose_all{self.factors!r}" if self.factors else "IDENTITY"
 
 
 #: The identity automorphism (a shared singleton).
-IDENTITY = _Identity()
-
-
-class _Product(Automorphism):
-    """Composition gh, evaluated lazily: (gh)_x = g_x  h_{x^g}."""
-
-    __slots__ = ("g", "h")
-
-    def __init__(self, g: Automorphism, h: Automorphism):
-        self.g = g
-        self.h = h
-
-    @property
-    def root_activity(self) -> int:
-        return self.g.root_activity ^ self.h.root_activity
-
-    def _section(self, x: int) -> Automorphism:
-        return compose(self.g.section(x), self.h.section(x ^ self.g.root_activity))
+IDENTITY = _Product(())
 
 
 class _Inverse(Automorphism):
@@ -129,70 +136,80 @@ class _Inverse(Automorphism):
         return self.g
 
 
-@dataclass(frozen=True)
+def _rows_below(bits: np.ndarray, v: int, depth: int) -> Iterator[np.ndarray]:
+    """Levels 0..depth-1 of the subtree below vertex index v, as slices of
+    a vertex-order bit row; levels past the stored bits are zero."""
+    for n in range(depth):
+        row = bits[((v + 1) << n) - 1:((v + 2) << n) - 1]
+        yield row if row.size else np.zeros(1 << n, dtype=np.uint8)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Portrait:
-    """A depth-d truncated activity decoration of the tree.
+    """A depth-d truncated activity decoration of the tree, built from
+    its levels (levels[i] holds the 2**i bits of level i, lexicographic)
+    and stored as one read-only uint8 row `bits` of 2**depth - 1 bits in
+    vertex order (see the module docstring)."""
 
-    `levels[i]` holds the 2**i activity bits of level i, vertices in
-    lexicographic order (leftmost = all-zeros label).  Total bit count
-    is 2**depth - 1.
-    """
+    bits: np.ndarray
 
-    levels: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        for i, row in enumerate(self.levels):
-            if len(row) != 1 << i:
-                raise ValueError(f"level {i} must hold {1 << i} bits, got {len(row)}")
-            if not set(row) <= {0, 1}:
+    def __init__(self, levels):
+        rows = [np.asarray(row) for row in levels]
+        for i, row in enumerate(rows):
+            if row.shape != (1 << i,):
+                raise ValueError(f"level {i} must hold {1 << i} bits, got {row.size}")
+            if not ((row == 0) | (row == 1)).all():
                 raise ValueError(f"level {i} contains a non-bit entry")
+        bits = np.concatenate([np.zeros(0, dtype=np.uint8), *rows]).astype(np.uint8, copy=False)
+        bits.flags.writeable = False
+        object.__setattr__(self, "bits", bits)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Portrait) and np.array_equal(self.bits, other.bits)
+
+    def __hash__(self) -> int:
+        return hash(self.bits.tobytes())
 
     @property
     def depth(self) -> int:
-        return len(self.levels)
+        return self.bits.size.bit_length()
+
+    @property
+    def levels(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(self.bits[(1 << n) - 1:(2 << n) - 1].tolist())
+                     for n in range(self.depth))
 
     def bit(self, u: str) -> int:
         """Activity bit at vertex u (|u| < depth)."""
-        check_vertex(u)
+        v = vertex_index(u)
         if len(u) >= self.depth:
             raise ValueError(f"vertex {u!r} is below depth {self.depth}")
-        return self.levels[len(u)][int(u, 2) if u else 0]
+        return int(self.bits[v])
 
     def child(self, x: int) -> "Portrait":
         """The depth-(d-1) portrait hanging below vertex x."""
         if x not in (0, 1):
             raise ValueError("child index must be 0 or 1")
-        half = tuple(
-            row[x * (len(row) // 2) : (x + 1) * (len(row) // 2)]
-            for row in self.levels[1:]
-        )
-        return Portrait(half)
+        return Portrait(_rows_below(self.bits, 1 + x, self.depth - 1))
 
     def pack(self) -> int:
-        """Bit-pack into an integer key: vertex u at level l sits at bit
-        2**l - 1 + index(u), so a depth-d portrait packs into 2**d - 1 bits."""
-        key = 0
-        pos = 0
-        for row in self.levels:
-            for b in row:
-                key |= b << pos
-                pos += 1
-        return key
+        """Bit-pack into an integer key: the bit at vertex u is bit
+        vertex_index(u) of the key, so a depth-d portrait packs into
+        2**d - 1 bits."""
+        return int.from_bytes(np.packbits(self.bits, bitorder="little").tobytes(), "little")
 
     @classmethod
     def unpack(cls, key: int, depth: int) -> "Portrait":
-        if key < 0 or key >> ((1 << depth) - 1):
+        size = (1 << depth) - 1
+        if key < 0 or key >> size:
             raise ValueError(f"key {key} out of range for depth {depth}")
-        levels = []
-        pos = 0
-        for i in range(depth):
-            levels.append(tuple((key >> (pos + j)) & 1 for j in range(1 << i)))
-            pos += 1 << i
-        return cls(tuple(levels))
+        packed = np.frombuffer(key.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+        return cls(_rows_below(np.unpackbits(packed, count=size, bitorder="little"), 0, depth))
 
     def to_text(self) -> str:
         """One line per level, 2**i characters of 0/1 in lexicographic order."""
-        return "\n".join("".join(map(str, row)) for row in self.levels) + "\n"
+        text = (self.bits + 48).tobytes().decode("ascii")
+        return "\n".join(text[(1 << n) - 1:(2 << n) - 1] for n in range(self.depth)) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "Portrait":
@@ -201,29 +218,33 @@ class Portrait:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if any(ch not in "01" for ch in line):
+            if not set(line) <= {"0", "1"}:
                 raise ValueError(f"invalid portrait line {line!r}")
-            rows.append(tuple(map(int, line)))
-        return cls(tuple(rows))
+            rows.append(np.frombuffer(line.encode("ascii"), dtype=np.uint8) - 48)
+        return cls(rows)
 
 
 class TruncationAutomorphism(Automorphism):
-    """Portrait-backed automorphism; sections below the portrait depth are
-    the identity (the coset-representative convention for quotients)."""
+    """Portrait-backed automorphism: the view of a portrait's bits below
+    vertex index `vertex`.  Sections below the portrait depth are the
+    identity (the coset-representative convention for quotients)."""
 
-    __slots__ = ("portrait",)
+    __slots__ = ("portrait", "vertex")
 
-    def __init__(self, portrait: Portrait):
+    def __init__(self, portrait: Portrait, vertex: int = 0):
         self.portrait = portrait
+        self.vertex = vertex
 
     @property
     def root_activity(self) -> int:
-        return self.portrait.levels[0][0] if self.portrait.depth else 0
+        bits = self.portrait.bits
+        return int(bits[self.vertex]) if self.vertex < bits.size else 0
 
     def _section(self, x: int) -> Automorphism:
-        if self.portrait.depth <= 1:
+        child = 2 * self.vertex + 1 + x
+        if child >= self.portrait.bits.size:
             return IDENTITY
-        return TruncationAutomorphism(self.portrait.child(x))
+        return TruncationAutomorphism(self.portrait, child)
 
 
 def apply(g: Automorphism, w: str) -> str:
@@ -252,47 +273,43 @@ def activity(g: Automorphism, u: str) -> int:
     return section_at(g, u).root_activity
 
 
-def activity_rows(g: Automorphism, depth: int) -> Iterator[tuple[int, ...]]:
-    """Yield decoration rows level by level (lexicographic within a level).
+def activity_rows(g: Automorphism, depth: int) -> Iterator[np.ndarray]:
+    """Yield decoration rows level by level (lexicographic within a
+    level) as uint8 arrays.
 
-    A truncation yields its stored levels, then all-zero rows: its
-    sections below the portrait depth are the identity.
+    A truncation yields slices of its stored bits, then all-zero rows:
+    its sections below the portrait depth are the identity.
     """
     if isinstance(g, TruncationAutomorphism):
-        levels = g.portrait.levels
-        for n in range(depth):
-            yield levels[n] if n < len(levels) else (0,) * (1 << n)
+        yield from _rows_below(g.portrait.bits, g.vertex, depth)
         return
     row = [g]
-    for _ in range(depth):
-        yield tuple(h.root_activity for h in row)
-        row = [h.section(x) for h in row for x in (0, 1)]
+    for n in range(depth):
+        if n:
+            row = [h.section(x) for h in row for x in (0, 1)]
+        yield np.fromiter((h.root_activity for h in row), dtype=np.uint8, count=len(row))
 
 
 def portrait_of(g: Automorphism, depth: int) -> Portrait:
     """The depth-d truncated portrait of g (activity bits for |u| < depth)."""
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    return Portrait(tuple(activity_rows(g, depth)))
+    return Portrait(activity_rows(g, depth))
 
 
 def compose(g: Automorphism, h: Automorphism) -> Automorphism:
     """The product gh acting by w^{gh} = (w^g)^h."""
-    if g is IDENTITY:
-        return h
-    if h is IDENTITY:
-        return g
-    return _Product(g, h)
+    return compose_all(g, h)
 
 
 def compose_all(*gs: Automorphism) -> Automorphism:
-    """The product g1 g2 ... gn, built as a balanced tree of pairwise
-    products so that section chains stay O(log n) deep."""
-    layer = list(gs) or [IDENTITY]
-    while len(layer) > 1:
-        pairs = [compose(g, h) for g, h in zip(layer[::2], layer[1::2])]
-        layer = pairs + layer[2 * len(pairs):]
-    return layer[0]
+    """The product g1 g2 ... gn as one product over a flat factor tuple:
+    nested products (the identity among them) are flattened, so products
+    built in a loop never nest."""
+    factors = tuple(f for g in gs for f in (g.factors if isinstance(g, _Product) else (g,)))
+    if len(factors) == 1:
+        return factors[0]
+    return _Product(factors) if factors else IDENTITY
 
 
 def invert(g: Automorphism) -> Automorphism:
@@ -327,13 +344,11 @@ def distance(g: Automorphism, h: Automorphism, cap: int = 16) -> Distance:
     if cap < 0:
         raise ValueError("cap must be non-negative")
     for n, (rg, rh) in enumerate(zip(activity_rows(g, cap), activity_rows(h, cap))):
-        if rg != rh:
+        if not np.array_equal(rg, rh):
             return Distance(n, exact=True)
     return Distance(cap, exact=False)
 
 
 def equal_to_depth(g: Automorphism, h: Automorphism, depth: int) -> bool:
     """Do g and h agree on all words of length up to `depth`?"""
-    return all(
-        rg == rh for rg, rh in zip(activity_rows(g, depth), activity_rows(h, depth))
-    )
+    return not distance(g, h, cap=depth).exact

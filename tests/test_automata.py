@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -273,6 +274,19 @@ def test_kbar_of_a_long_conjugate_product():
     assert gt.in_closure_up_to(kbar, 6)
     with pytest.raises(ValueError):
         gt.kbar_element(word + "a")
+
+
+def test_k_shape_rejection_of_long_words_is_not_quadratic():
+    word = gt.k_word(["abc"] * 1200)
+    rejected = [word + "a", word[:6000] + "d" + word[6001:], "a" + word,
+                gt.k_word(["ab" * 300, "cab" * 100]) + "b"]
+    start = time.perf_counter()
+    for bad in rejected:
+        with pytest.raises(ValueError):
+            gt.kbar_element(bad)
+    # each of these took about a second when every dead block start
+    # rescanned all later "abab" occurrences
+    assert time.perf_counter() - start < 0.5
 
 
 def _parses_by_recursion(word):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import grigtree as gt
 from grigtree import IDENTITY
+from grigtree.tree import vertex_index, vertex_label
 
 words = st.text(alphabet="abcd", max_size=24)
 vertices = st.text(alphabet="01", max_size=6)
@@ -132,6 +133,13 @@ def test_inverse_undoes_action(w, u):
     assert gt.apply(gt.invert(g), gt.apply(g, u)) == u
 
 
+@given(st.lists(words, max_size=6), vertices)
+def test_inverse_of_a_product_undoes_its_action(ws, u):
+    g = gt.compose_all(*map(gt.word_element, ws))
+    assert gt.apply(gt.invert(g), gt.apply(g, u)) == u
+    assert gt.equal_to_depth(gt.invert(g), gt.word_element("".join(ws)[::-1]), 5)
+
+
 def test_operator_sugar():
     g = gt.word_element("ab")
     assert gt.equal_to_depth(g * ~g, IDENTITY, 6)
@@ -197,6 +205,12 @@ def test_portrait_bit_and_child():
     assert p.child(1).levels == ((1,), (0, 0))
 
 
+def test_empty_portrait_round_trips():
+    p = gt.Portrait(())
+    assert (p.depth, p.levels, p.pack(), p.to_text()) == (0, (), 0, "\n")
+    assert gt.Portrait.unpack(0, 0) == p == gt.Portrait.from_text(p.to_text())
+
+
 def test_portrait_validation():
     with pytest.raises(ValueError):
         gt.Portrait(((1,), (0,)))
@@ -212,6 +226,13 @@ def test_truncation_automorphism_reproduces_portrait(key_depth):
     assert gt.portrait_of(t, depth) == p
     below = gt.section_at(t, "0" * depth)
     assert gt.equal_to_depth(below, IDENTITY, 4)
+
+
+@given(vertices)
+def test_vertex_index_is_the_position_in_vertex_order(u):
+    v = vertex_index(u)
+    assert v == (1 << len(u)) - 1 + (int(u, 2) if u else 0)
+    assert vertex_label(v) == u
 
 
 def test_check_vertex():
@@ -265,6 +286,17 @@ def test_truncation_distance_to_its_source(w, depth):
     assert d.exponent >= depth
     assert gt.equal_to_depth(t, g, depth)
     assert gt.equal_to_depth(t, g, depth + 2) == (d.exponent >= depth + 2)
+
+
+def test_products_built_in_a_loop_stay_flat():
+    g, h = IDENTITY, gt.word_element("ab")
+    for _ in range(3000):
+        g = g * h
+    assert gt.portrait_of(g, 3) == gt.portrait_of(gt.word_element("ab" * 3000), 3)
+    g = IDENTITY
+    for _ in range(3000):
+        g = h * g
+    assert gt.portrait_of(g, 3) == gt.portrait_of(gt.word_element("ab" * 3000), 3)
 
 
 def test_compose_all_of_a_long_product_has_shallow_sections():
