@@ -176,6 +176,7 @@ class Portrait:
 
     @property
     def levels(self) -> tuple[tuple[int, ...], ...]:
+        """The bits level by level, each level a tuple (derived from `bits`)."""
         return tuple(tuple(self.bits[(1 << n) - 1:(2 << n) - 1].tolist())
                      for n in range(self.depth))
 

@@ -255,12 +255,6 @@ def test_portrait_set_sorts_and_dedupes_only_when_needed(keys):
     assert (pset.keys is keys) == (pset.keys.tolist() == keys.tolist())
 
 
-def test_portrait_set_of_shuffled_keys_equals_the_sorted_set(quotient4):
-    rng = np.random.default_rng(3)
-    shuffled = gt.PortraitSet(4, rng.permutation(quotient4.keys))
-    assert np.array_equal(shuffled.keys, quotient4.keys)
-
-
 def test_load_rejects_truncated_header(tmp_path):
     path = tmp_path / "short.bin"
     path.write_bytes(b"\x03\x00\x00")
