@@ -263,7 +263,8 @@ def _seed_bits(seed: int, level: int, indices) -> list[int]:
     the depth never changes the bits already drawn at shallower
     vertices."""
     blake2b = hashlib.blake2b
-    labels = (vertex_label((1 << level) - 1 + i) for i in indices)
+    fmt = f"0{level}b"
+    labels = [format(i, fmt) for i in indices] if level else [""]
     return [blake2b(f"{seed}|{u}".encode(), digest_size=8).digest()[0] & 1 for u in labels]
 
 
