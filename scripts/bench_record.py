@@ -1,10 +1,10 @@
 """Record one point of the benchmark trajectory.
 
-    python3 scripts/bench_record.py <n> [--seed S]
+    python3 scripts/bench_record.py <n>
 
-Runs perfbench/run.py on every workload in BENCHMARK.json, once with
---trace 0 (end-to-end metrics) and once with --trace 1 (per-layer
-metrics), and writes BENCH_<n>.json at the root of the checkout: one
+Runs perfbench/run.py at seed 0 on every workload in BENCHMARK.json,
+once with --trace 0 (end-to-end metrics) and once with --trace 1
+(per-layer metrics), and writes BENCH_<n>.json at the root of the checkout: one
 JSON object per line, per run, holding the workload, the trace mode and
 the two JSON lines run.py prints (its environment line records the
 Python and numpy versions, nproc and the src/ line count).  Exits 1 if a
@@ -25,7 +25,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("n", help="names the output file BENCH_<n>.json")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
@@ -33,7 +32,7 @@ def main(argv=None) -> int:
     for workload in (w["name"] for w in spec["workloads"]):
         for trace in (0, 1):
             argv = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-                    "--seed", str(args.seed), "--seconds", str(spec["run_seconds"]),
+                    "--seed", "0", "--seconds", str(spec["run_seconds"]),
                     "--trace", str(trace)]
             run = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=False)
             lines = run.stdout.strip().splitlines()[-2:]

@@ -160,18 +160,16 @@ def window_at(p: Portrait, u: str = "") -> WindowDecoration:
 
 def beta_profile(p: Portrait) -> BetaProfile:
     """The BetaProfile of the root window of a portrait (depth >= 4)."""
-    profile = _profile(window_at(p, ""))
+    if p.depth < 4:
+        raise ValueError(f"portrait depth {p.depth} too shallow for a window")
+    profile = int(_profiles(*_windows(p.bits, 0, 1))[0])
     return BetaProfile(*((profile >> (5 - j)) & 1 for j in range(6)))
-
-
-def _profile(w: WindowDecoration) -> int:
-    rows = (np.array([row], dtype=np.uint8) for row in (w.level1, w.level2, w.level3))
-    return int(_profiles(*rows)[0])
 
 
 def simulates_grigorchuk(w: WindowDecoration) -> bool:
     """Does this window's profile match an admissible pattern?"""
-    return bool(_ADMISSIBLE[_profile(w)])
+    rows = (np.array([row], dtype=np.uint8) for row in (w.level1, w.level2, w.level3))
+    return bool(_ADMISSIBLE[_profiles(*rows)[0]])
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,8 @@ def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
 
 class PortraitSet:
     """A set of depth-n portraits, stored as sorted packed keys.  Keys
-    that are already strictly increasing are kept as given, not copied."""
+    already strictly increasing are not sorted again; they are copied
+    unless read-only (as `load_portrait_set` gives them)."""
 
     def __init__(self, level: int, keys: np.ndarray):
         self.level = level
@@ -78,6 +79,8 @@ class PortraitSet:
             keys = np.sort(keys)
             first = _first_of_runs(keys)
             keys = keys if first.all() else keys[first]
+        elif keys.flags.writeable:
+            keys = keys.copy()
         self.keys = keys
 
     def __len__(self) -> int:
@@ -311,14 +314,11 @@ def verify_window_constraints(samples: int, max_len: int, seed: int = 0) -> Veri
     return report
 
 
-_WIDTH_DTYPES = {1: np.dtype("<u1"), 2: np.dtype("<u2"), 4: np.dtype("<u4")}
-
-
-def _key_width(level: int) -> int:
-    bits = (1 << level) - 1
+def _key_dtype(level: int) -> np.dtype:
+    """The narrowest little-endian unsigned key type holding 2^level - 1 bits."""
     for width in (1, 2, 4):
-        if bits <= 8 * width:
-            return width
+        if (1 << level) - 1 <= 8 * width:
+            return np.dtype(f"<u{width}")
     raise ValueError(f"level {level} too deep for the cache format")
 
 
@@ -326,7 +326,7 @@ def save_portrait_set(path, pset: PortraitSet) -> None:
     """Write a flat binary cache: 8-byte header (level, count, both
     little-endian uint32), then the sorted keys at the fixed width the
     level requires (1, 2 or 4 bytes)."""
-    dtype = _WIDTH_DTYPES[_key_width(pset.level)]
+    dtype = _key_dtype(pset.level)
     with open(path, "wb") as fh:
         fh.write(struct.pack("<II", pset.level, len(pset)))
         fh.write(np.ascontiguousarray(pset.keys.astype(dtype)).tobytes())
@@ -341,7 +341,7 @@ def load_portrait_set(path) -> PortraitSet:
             raise ValueError("truncated portrait cache header")
         level, count = struct.unpack("<II", header)
         _check_level(level)
-        dtype = _WIDTH_DTYPES[_key_width(level)]
+        dtype = _key_dtype(level)
         body = fh.read()
     if len(body) % dtype.itemsize:
         raise ValueError(

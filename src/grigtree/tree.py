@@ -226,15 +226,15 @@ class Portrait:
 
 
 class TruncationAutomorphism(Automorphism):
-    """Portrait-backed automorphism: the view of a portrait's bits below
-    vertex index `vertex`.  Sections below the portrait depth are the
-    identity (the coset-representative convention for quotients)."""
+    """Portrait-backed automorphism: the bits below vertex index `vertex`
+    (the root, or the vertex a section is taken at).  Sections below the
+    portrait depth are the identity (the quotients' coset representatives)."""
 
     __slots__ = ("portrait", "vertex")
 
-    def __init__(self, portrait: Portrait, vertex: int = 0):
+    def __init__(self, portrait: Portrait):
         self.portrait = portrait
-        self.vertex = vertex
+        self.vertex = 0
 
     @property
     def root_activity(self) -> int:
@@ -245,7 +245,9 @@ class TruncationAutomorphism(Automorphism):
         child = 2 * self.vertex + 1 + x
         if child >= self.portrait.bits.size:
             return IDENTITY
-        return TruncationAutomorphism(self.portrait, child)
+        view = TruncationAutomorphism(self.portrait)
+        view.vertex = child
+        return view
 
 
 def apply(g: Automorphism, w: str) -> str:
@@ -351,5 +353,5 @@ def distance(g: Automorphism, h: Automorphism, cap: int = 16) -> Distance:
 
 
 def equal_to_depth(g: Automorphism, h: Automorphism, depth: int) -> bool:
-    """Do g and h agree on all words of length up to `depth`?"""
-    return not distance(g, h, cap=depth).exact
+    """Do g and h agree on all words of length up to `depth` (always, if depth < 0)?"""
+    return depth < 0 or not distance(g, h, cap=depth).exact

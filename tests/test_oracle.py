@@ -252,7 +252,20 @@ def test_portrait_set_sorts_and_dedupes_only_when_needed(keys):
     keys = np.array(keys, dtype=np.uint32)
     pset = gt.PortraitSet(4, keys)
     assert pset.keys.tolist() == sorted(set(keys.tolist()))
-    assert (pset.keys is keys) == (pset.keys.tolist() == keys.tolist())
+
+
+def test_portrait_set_owns_a_writable_sorted_input():
+    keys = np.array([1, 5, 9], dtype=np.uint32)
+    pset = gt.PortraitSet(4, keys)
+    keys[:] = [9, 0, 0]
+    assert pset.keys.tolist() == [1, 5, 9]
+    assert 5 in pset and 0 not in pset
+
+
+def test_portrait_set_keeps_a_read_only_sorted_input():
+    keys = np.array([1, 5, 9], dtype=np.uint32)
+    keys.flags.writeable = False
+    assert gt.PortraitSet(4, keys).keys is keys
 
 
 def test_load_rejects_truncated_header(tmp_path):

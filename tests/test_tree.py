@@ -93,6 +93,12 @@ def test_compose_relations():
     assert gt.equal_to_depth(gt.compose(IDENTITY, g), g, 8)
 
 
+def test_equal_to_depth_is_vacuous_below_depth_zero():
+    assert gt.equal_to_depth(A, IDENTITY, -1)
+    assert gt.equal_to_depth(A, IDENTITY, 0)
+    assert not gt.equal_to_depth(A, IDENTITY, 1)
+
+
 def test_compose_all():
     assert gt.compose_all() is IDENTITY
     assert gt.equal_to_depth(gt.compose_all(A, B, A), gt.word_element("aba"), 8)
