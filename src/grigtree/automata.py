@@ -79,8 +79,9 @@ class _MealyState(Automorphism):
     def root_activity(self) -> int:
         return self.automaton.transitions[self.state][0]
 
-    def _section(self, x: int) -> Automorphism:
-        return element_of(self.automaton, self.automaton.transitions[self.state][1 + x])
+    def _children(self) -> tuple[Automorphism, Automorphism]:
+        _, n0, n1 = self.automaton.transitions[self.state]
+        return element_of(self.automaton, n0), element_of(self.automaton, n1)
 
     def __repr__(self) -> str:
         return f"<automaton state {self.state!r}>"
@@ -207,8 +208,9 @@ class _RecursionEntry(Automorphism):
     def root_activity(self) -> int:
         return self.system.definitions[self.symbol][2]
 
-    def _section(self, x: int) -> Automorphism:
-        return self.system._resolve(self.system.definitions[self.symbol][x])
+    def _children(self) -> tuple[Automorphism, Automorphism]:
+        s0, s1, _ = self.system.definitions[self.symbol]
+        return self.system._resolve(s0), self.system._resolve(s1)
 
     def __repr__(self) -> str:
         return f"<recursion symbol {self.symbol!r}>"
@@ -291,14 +293,19 @@ class _Scattered(Automorphism):
     def root_activity(self) -> int:
         return 0
 
-    def _section(self, x: int) -> Automorphism:
-        ch = "01"[x]
-        sub = {v[1:]: g for v, g in self.table.items() if v[0] == ch}
-        if not sub:
-            return IDENTITY
-        if "" in sub:
-            return sub[""]
-        return _Scattered(sub)
+    def _children(self) -> tuple[Automorphism, Automorphism]:
+        subs: tuple[dict, dict] = ({}, {})
+        for v, g in self.table.items():
+            subs[int(v[0])][v[1:]] = g
+        return _scattered(subs[0]), _scattered(subs[1])
+
+
+def _scattered(table: dict[str, Automorphism]) -> Automorphism:
+    """The element carrying table[v] below each vertex v: the identity
+    for an empty table, the element itself when the root is assigned."""
+    if not table:
+        return IDENTITY
+    return table[""] if "" in table else _Scattered(table)
 
 
 def scattered_element(assignments: Sequence[tuple[str, str]]) -> Automorphism:
@@ -322,11 +329,7 @@ def scattered_element(assignments: Sequence[tuple[str, str]]) -> Automorphism:
         for v in labels[i + 1 :]:
             if u.startswith(v) or v.startswith(u):
                 raise ValueError(f"vertices {u!r} and {v!r} are not independent")
-    if not table:
-        return IDENTITY
-    if "" in table:
-        return table[""]
-    return _Scattered(table)
+    return _scattered(table)
 
 
 def activity_profile(g: Automorphism, levels: int) -> list[int]:

@@ -19,6 +19,7 @@ Element designators:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .automata import (activity_profile, element_of, f_automaton,
@@ -76,6 +77,20 @@ def _element(spec: str) -> Automorphism:
     return parse_element(spec)[0]
 
 
+#: Depth of the deepest portrait built without --large: sampling 2^22
+#: vertices takes seconds, and every further level doubles time and memory.
+MAX_DEPTH = 22
+
+
+def _require_large(args, flag: str, value: int, limit: int) -> None:
+    """Refuse 2^depth work beyond `limit` unless --large was passed (before
+    any work starts)."""
+    if value > limit and not args.large:
+        raise DesignatorError(
+            f"{flag} {value} is above {limit}, and each level doubles the work; "
+            f"pass --large to allow it")
+
+
 def _print_word(word: str) -> None:
     print(word if word else "-")
 
@@ -118,6 +133,7 @@ def _portrait_dot(p: Portrait) -> str:
 
 
 def cmd_portrait(args) -> int:
+    _require_large(args, "--depth", args.depth, MAX_DEPTH)
     p = portrait_of(_element(args.elem), args.depth)
     if args.format == "dot":
         print(_portrait_dot(p))
@@ -127,6 +143,7 @@ def cmd_portrait(args) -> int:
 
 
 def cmd_check_closure(args) -> int:
+    _require_large(args, "--depth", args.depth, MAX_DEPTH)
     verdict = in_closure_up_to(_element(args.elem), args.depth)
     print(verdict.format())
     return 0 if verdict else 1
@@ -154,6 +171,7 @@ def cmd_hausdorff(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    _require_large(args, "--depth", args.depth, MAX_DEPTH)
     p = sample_closure_element(args.seed, args.depth)
     print(f"# seed={args.seed} depth={args.depth}")
     print(p.to_text(), end="")
@@ -161,6 +179,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_bounded(args) -> int:
+    _require_large(args, "--levels", args.levels, MAX_DEPTH - 1)
     g, automaton = parse_element(args.elem)
     profile = activity_profile(g, args.levels)
     print("profile: " + " ".join(str(c) for c in profile))
@@ -179,7 +198,15 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+def _large_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--large", action="store_true",
+                   help=f"allow portraits deeper than {MAX_DEPTH} levels")
+
+
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by every
+    main call."""
     parser = argparse.ArgumentParser(
         prog="grigtree",
         description="Exact computation with binary-tree automorphisms and "
@@ -205,12 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("elem")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--format", choices=("text", "dot"), default="text")
+    _large_flag(p)
     p.set_defaults(func=cmd_portrait)
 
     p = sub.add_parser("check-closure",
                        help="finite-depth closure membership verdict")
     p.add_argument("elem")
     p.add_argument("--depth", type=int, required=True)
+    _large_flag(p)
     p.set_defaults(func=cmd_check_closure)
 
     p = sub.add_parser("enumerate",
@@ -229,11 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="sample a closure-element portrait")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--depth", type=int, required=True)
+    _large_flag(p)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("bounded", help="activity profile and boundedness")
     p.add_argument("elem")
     p.add_argument("--levels", type=int, default=8)
+    _large_flag(p)
     p.set_defaults(func=cmd_bounded)
 
     p = sub.add_parser("verify",
@@ -247,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DesignatorError, ValueError, RecursionError, MemoryError, OSError) as exc:

@@ -11,16 +11,31 @@ action
 
 products read left to right: w^{gh} = (w^g)^h.
 
-Everything here is immutable after construction; section lookups are
-memoized per instance (a benign race under concurrent use: the value is
-deterministic either way).
+Everything here is immutable after construction; sections are
+computed in pairs (both children at once) and memoized per instance (a
+benign race under concurrent use: the value is deterministic either
+way).  `section`, `section_at` and `apply` are this pointwise API.
 
 A portrait stores one bit row in vertex order (level by level,
 lexicographic within a level): vertex u has index vertex_index(u),
 vertex v has its children at 2v+1 and 2v+2, and level n below v is the
-slice of 2^n bits from (v+1)*2^n - 1.  Truncations and their sections
-are views (portrait, v) whose levels `activity_rows` hands over as
-such slices.
+slice of 2^n bits from (v+1)*2^n - 1.
+
+`activity_rows` builds whole levels without walking sections vertex by
+vertex, in one of three ways:
+
+* a truncation and its sections are views (portrait, v) whose levels are
+  such slices;
+* a product or an inverse folds its factors' rows through their level
+  permutations.  The level-n permutation of g starts from img_0 = [0]
+  and extends by img_{n+1}[2i+x] = 2 img_n[i] + (x ^ row_n[i]); then
+  row(gh) = row(g) ^ row(h)[img(g)] and row(g^-1)[img(g)] = row(g);
+* every other element (Mealy states, words, recursion symbols) is a
+  finite-state object, so its portrait repeats a few states on every
+  level.  A state table that lives for one call interns each state once
+  under its `_state_key()`, expands it once (both children together)
+  into an int32 child array of shape (states, 2), and emits level n as
+  act[ids] before stepping down with ids = child[ids].ravel().
 """
 
 from __future__ import annotations
@@ -52,8 +67,11 @@ def vertex_label(v: int) -> str:
 class Automorphism:
     """Base class: a lazily evaluable automorphism of the binary tree.
 
-    Subclasses implement `root_activity` (0 or 1) and `_section(x)`; the
-    public `section` memoizes.  Instances never expose mutable state.
+    Subclasses implement `root_activity` (0 or 1) and `_children()`, the
+    pair of sections (g_0, g_1); the public `section` memoizes the pair.
+    `_state_key()` names the element's state in `activity_rows`' state
+    table: elements with equal keys are equal.  Instances never expose
+    mutable state.
     """
 
     __slots__ = ("_sections",)
@@ -62,20 +80,24 @@ class Automorphism:
     def root_activity(self) -> int:
         raise NotImplementedError
 
-    def _section(self, x: int) -> "Automorphism":
+    def _children(self) -> tuple["Automorphism", "Automorphism"]:
         raise NotImplementedError
+
+    def _state_key(self) -> object:
+        return self
+
+    def _rows(self, depth: int) -> Iterator[np.ndarray]:
+        return _table_rows(self, depth)
 
     def section(self, x: int) -> "Automorphism":
         """The section at child x (0 or 1)."""
         if x not in (0, 1):
             raise ValueError(f"child index must be 0 or 1, got {x!r}")
         try:
-            memo = self._sections
+            return self._sections[x]
         except AttributeError:
-            memo = self._sections = {}
-        if x not in memo:
-            memo[x] = self._section(x)
-        return memo[x]
+            self._sections = self._children()
+            return self._sections[x]
 
     def _invert(self) -> "Automorphism":
         return _Inverse(self)
@@ -99,12 +121,31 @@ class _Product(Automorphism):
         self.factors = factors
         self.root_activity = sum(g.root_activity for g in factors) & 1
 
-    def _section(self, x: int) -> Automorphism:
-        sections = []
+    def _children(self) -> tuple[Automorphism, Automorphism]:
+        pair, x = ([], []), 0  # child 0 of the product enters the next factor at x, child 1 at 1 ^ x
         for g in self.factors:
-            sections.append(g.section(x))
+            pair[0].append(g.section(x))
+            pair[1].append(g.section(1 ^ x))
             x ^= g.root_activity
-        return compose_all(*sections)
+        return compose_all(*pair[0]), compose_all(*pair[1])
+
+    def _rows(self, depth: int) -> Iterator[np.ndarray]:
+        """Fold the factors' rows: row(Pg) = row(P) ^ row(g)[img(P)] for
+        each prefix P = g1...gj, whose image img(P) extends level by level."""
+        if not self.factors:
+            yield from _rows_below(_NO_BITS, 0, depth)
+            return
+        first, *rest = (activity_rows(g, depth) for g in self.factors)
+        imgs = [_ROOT_IMAGE] * len(rest)  # img(P) of the prefix before rest[j], this level
+        prevs = [None] * len(rest)  # row(P) of that prefix, one level up
+        for n in range(depth):
+            row = next(first)
+            for j, stream in enumerate(rest):
+                if n:
+                    imgs[j] = _extend_image(imgs[j], prevs[j])
+                prevs[j] = row
+                row = row ^ next(stream)[imgs[j]]
+            yield row
 
     def _invert(self) -> Automorphism:
         return compose_all(*map(invert, reversed(self.factors)))
@@ -129,11 +170,60 @@ class _Inverse(Automorphism):
     def root_activity(self) -> int:
         return self.g.root_activity
 
-    def _section(self, y: int) -> Automorphism:
-        return invert(self.g.section(y ^ self.g.root_activity))
+    def _children(self) -> tuple[Automorphism, Automorphism]:
+        a = self.g.root_activity
+        return invert(self.g.section(a)), invert(self.g.section(1 ^ a))
+
+    def _rows(self, depth: int) -> Iterator[np.ndarray]:
+        img = _ROOT_IMAGE
+        for n, row in enumerate(activity_rows(self.g, depth)):
+            if n:
+                img = _extend_image(img, prev)
+            inverse = np.empty_like(row)
+            inverse[img] = row
+            yield inverse
+            prev = row
 
     def _invert(self) -> Automorphism:
         return self.g
+
+
+_ROOT_IMAGE = np.zeros(1, dtype=np.intp)
+_NO_BITS = np.zeros(0, dtype=np.uint8)
+
+
+def _extend_image(img: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """The level-(n+1) permutation of g from its level-n permutation and
+    activity row: vertex 2i+x goes to 2*img[i] + (x ^ row[i])."""
+    return (((img << 1) | row)[:, None] ^ np.array([0, 1], dtype=np.intp)).ravel()
+
+
+def _table_rows(g: Automorphism, depth: int) -> Iterator[np.ndarray]:
+    """Rows of a finite-state element from a state table built for this
+    call: each state is interned once by `_state_key()` and expanded once,
+    both children together, on the level below the one it first shows on."""
+    index = {g._state_key(): 0}
+    states = [g]
+    acts = [g.root_activity]
+    kids: list[int] = []  # children of states[:len(kids) // 2], two ids each
+    act = np.array(acts, dtype=np.uint8)
+    ids = np.zeros(1, dtype=np.int32)
+    for n in range(depth):
+        if n:
+            if len(kids) < 2 * len(states):
+                for state in states[len(kids) // 2:]:
+                    for h in state._children():
+                        key = h._state_key()
+                        t = index.get(key)
+                        if t is None:
+                            t = index[key] = len(states)
+                            states.append(h)
+                            acts.append(h.root_activity)
+                        kids.append(t)
+                act = np.array(acts, dtype=np.uint8)
+                child = np.array(kids, dtype=np.int32).reshape(-1, 2)
+            ids = child[ids].ravel()
+        yield act[ids]
 
 
 def _rows_below(bits: np.ndarray, v: int, depth: int) -> Iterator[np.ndarray]:
@@ -241,13 +331,18 @@ class TruncationAutomorphism(Automorphism):
         bits = self.portrait.bits
         return int(bits[self.vertex]) if self.vertex < bits.size else 0
 
-    def _section(self, x: int) -> Automorphism:
-        child = 2 * self.vertex + 1 + x
-        if child >= self.portrait.bits.size:
+    def _children(self) -> tuple[Automorphism, Automorphism]:
+        return self._view(2 * self.vertex + 1), self._view(2 * self.vertex + 2)
+
+    def _view(self, vertex: int) -> Automorphism:
+        if vertex >= self.portrait.bits.size:
             return IDENTITY
         view = TruncationAutomorphism(self.portrait)
-        view.vertex = child
+        view.vertex = vertex
         return view
+
+    def _rows(self, depth: int) -> Iterator[np.ndarray]:
+        return _rows_below(self.portrait.bits, self.vertex, depth)
 
 
 def apply(g: Automorphism, w: str) -> str:
@@ -278,19 +373,13 @@ def activity(g: Automorphism, u: str) -> int:
 
 def activity_rows(g: Automorphism, depth: int) -> Iterator[np.ndarray]:
     """Yield decoration rows level by level (lexicographic within a
-    level) as uint8 arrays.
+    level) as uint8 arrays, without walking sections vertex by vertex
+    (see the module docstring for the three ways).
 
     A truncation yields slices of its stored bits, then all-zero rows:
     its sections below the portrait depth are the identity.
     """
-    if isinstance(g, TruncationAutomorphism):
-        yield from _rows_below(g.portrait.bits, g.vertex, depth)
-        return
-    row = [g]
-    for n in range(depth):
-        if n:
-            row = [h.section(x) for h in row for x in (0, 1)]
-        yield np.fromiter((h.root_activity for h in row), dtype=np.uint8, count=len(row))
+    return g._rows(depth)
 
 
 def portrait_of(g: Automorphism, depth: int) -> Portrait:

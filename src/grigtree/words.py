@@ -196,8 +196,12 @@ class WordAutomorphism(Automorphism):
     def root_activity(self) -> int:
         return self.word.count("a") & 1
 
-    def _section(self, x: int) -> Automorphism:
-        return word_element(reduce(decompose_word(self.word)[x]))
+    def _children(self) -> tuple[Automorphism, Automorphism]:
+        w0, w1, _ = decompose_word(self.word)
+        return word_element(reduce(w0)), word_element(reduce(w1))
+
+    def _state_key(self) -> object:
+        return self.word
 
     def _invert(self) -> Automorphism:
         # every generator is an involution, so the inverse word is the reversal

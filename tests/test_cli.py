@@ -1,9 +1,10 @@
 import hashlib
+import time
 
 import pytest
 
 import grigtree as gt
-from grigtree.cli import main
+from grigtree.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -281,3 +282,56 @@ def test_resource_errors_exit_2(capsys, monkeypatch, exc):
     code, out, err = run(capsys, "check-closure", "word:a", "--depth", "4")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.strip() != "error:"
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one main call, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_reuses_one_parser(capsys):
+    commands = [
+        ["reduce", "aabd"],
+        ["portrait", "word:abd", "--depth", "3"],
+        ["check-closure", "word:a", "--depth", "3"],
+        ["frobnicate"],
+        ["bounded", "auto:grig", "--levels", "4"],
+        ["check-closure", "auto:f", "--depth", "6"],
+        ["sample", "--seed", "2", "--depth", "4"],
+        ["decompose", "abdabac"],
+    ]
+    reused = [_outcome(capsys, argv) for argv in commands]
+    assert build_parser() is build_parser()
+    assert [r[0] for r in reused] == [0, 0, 2, 2, 0, 0, 0, 0]
+    for argv, outcome in zip(commands, reused):
+        build_parser.cache_clear()
+        assert _outcome(capsys, argv) == outcome
+
+
+@pytest.mark.parametrize("argv", [
+    ["portrait", "word:a", "--depth", "40"],
+    ["portrait", "portrait:no-such-file", "--depth", "23"],
+    ["check-closure", "auto:f", "--depth", "40"],
+    ["sample", "--seed", "1", "--depth", "40"],
+    ["bounded", "auto:f", "--levels", "40"],
+    ["bounded", "auto:f", "--levels", "22"],
+])
+def test_deep_requests_need_large(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    # refused before any work: a depth-40 portrait would never finish
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "--large" in err
+
+
+def test_largest_request_without_large_runs(capsys):
+    code, out, _ = run(capsys, "bounded", "auto:grig#b", "--levels", "21")
+    # b = (a, c), c = (a, d), d = (1, b): one active vertex on each level but every third
+    profile = " ".join("0" if n % 3 == 0 else "1" for n in range(22))
+    assert (code, out) == (0, f"profile: {profile}\nbounded: yes\n")

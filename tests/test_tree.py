@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import grigtree as gt
 from grigtree import IDENTITY
 from grigtree.tree import vertex_index, vertex_label
+from grigtree.words import decompose_word
 
 words = st.text(alphabet="abcd", max_size=24)
 vertices = st.text(alphabet="01", max_size=6)
@@ -314,3 +317,107 @@ def test_compose_all_of_a_long_product_has_shallow_sections():
 def test_compose_all_keeps_the_factor_order(letters):
     g = gt.compose_all(*(gt.word_element(x) for x in letters))
     assert gt.equal_to_depth(g, gt.word_element("".join(letters)), 6)
+
+
+def test_square_of_a_deep_sampled_truncation_is_fast():
+    t = gt.TruncationAutomorphism(gt.sample_closure_element(31, 16))
+    tt = gt.compose(t, t)
+    start = time.perf_counter()
+    p = gt.portrait_of(tt, 16)
+    # the row fold takes about a millisecond; one product object per
+    # vertex took 0.6-0.7 s
+    assert time.perf_counter() - start < 0.1
+    rng = random.Random(31)
+    for u in ["", *(format(rng.randrange(1 << n), f"0{n}b") for n in range(1, 16))]:
+        assert p.bit(u) == gt.activity(tt, u)
+
+
+def test_each_word_is_decomposed_once(monkeypatch):
+    decomposed = []
+
+    def counting(word):
+        decomposed.append(word)
+        return decompose_word(word)
+
+    monkeypatch.setattr("grigtree.words.decompose_word", counting)
+    gt.portrait_of(gt.word_element("abacabadacabdabcadabac"), 8)
+    assert decomposed and len(decomposed) == len(set(decomposed))
+    decomposed.clear()
+    g = gt.word_element("abdabac")
+    g.section(0), g.section(1), g.section(0)
+    assert decomposed == ["abdabac"]
+
+
+def _mealy_element(data):
+    """A state of a random automaton with at most six states."""
+    n = data.draw(st.integers(1, 6))
+    names = [f"s{i}" for i in range(n)]
+    state = st.sampled_from(names)
+    transitions = {name: (data.draw(st.integers(0, 1)), data.draw(state), data.draw(state))
+                   for name in names}
+    return gt.element_of(gt.MealyAutomaton(transitions, names[0]), data.draw(state))
+
+
+def _conjugate_product(data):
+    return gt.k_word(data.draw(st.lists(st.text(alphabet="abcd", max_size=3), max_size=2)))
+
+
+def _sampled_truncation(data):
+    t = gt.TruncationAutomorphism(
+        gt.sample_closure_element(data.draw(st.integers(0, 99)), data.draw(st.integers(4, 7))))
+    return gt.section_at(t, data.draw(st.text(alphabet="01", max_size=2)))
+
+
+depths = st.integers(min_value=0, max_value=9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.text(alphabet="abcd", max_size=40), depths)
+def test_word_rows_match_section_walk(w, depth):
+    g = gt.word_element(w)
+    assert gt.portrait_of(g, depth) == portrait_by_section_walk(g, depth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), depths)
+def test_automaton_rows_match_section_walk(data, depth):
+    g = _mealy_element(data)
+    assert gt.portrait_of(g, depth) == portrait_by_section_walk(g, depth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), depths)
+def test_recursion_and_scattered_rows_match_section_walk(data, depth):
+    kind = data.draw(st.sampled_from(["kbar", "scattered", "recursion"]))
+    if kind == "kbar":
+        g = gt.kbar_element(_conjugate_product(data))
+    elif kind == "scattered":
+        n = data.draw(st.integers(1, 3))
+        labels = data.draw(st.sets(st.integers(0, (1 << n) - 1), max_size=4))
+        g = gt.scattered_element([(format(i, f"0{n}b"), _conjugate_product(data)) for i in labels])
+    else:
+        # sections that are a product and a truncation: one state per vertex
+        system = gt.RecursionSystem({
+            "g": (gt.compose(_mealy_element(data), gt.word_element("ab")), "h", 1),
+            "h": ("g", _sampled_truncation(data), data.draw(st.integers(0, 1))),
+        })
+        g = system.element("g")
+    assert gt.portrait_of(g, depth) == portrait_by_section_walk(g, depth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), depths)
+def test_product_and_inverse_rows_match_section_walk(data, depth):
+    factors = []
+    for kind in data.draw(st.lists(st.sampled_from(["word", "mealy", "truncation"]), max_size=4)):
+        if kind == "word":
+            g = gt.word_element(data.draw(st.text(alphabet="abcd", max_size=12)))
+        elif kind == "mealy":
+            g = _mealy_element(data)
+        else:
+            g = _sampled_truncation(data)
+        factors.append(gt.invert(g) if data.draw(st.booleans()) else g)
+    g = gt.compose_all(*factors)
+    if data.draw(st.booleans()):
+        g = gt.invert(g)
+    assert gt.portrait_of(g, depth) == portrait_by_section_walk(g, depth)
