@@ -1,15 +1,13 @@
-"""Finite-state (Mealy) tree automorphisms and recursion systems.
+"""Finite-state tree automorphisms as symbols of recursion systems.
 
-A Mealy automaton here is a finite set of states, each carrying an
-activity bit and two successor states; every state defines a tree
-automorphism whose root activity is the state's bit and whose sections
-are the successor states.  The five-state machine generating the
-Grigorchuk group and the five-state machine of the closure element `f`
-are built in.
-
-Recursion systems generalize this by letting a state's sections refer
-either to named symbols or to arbitrary concrete automorphisms; they
-back the self-similar closure elements kbar = (k, kbar).
+A recursion system names wreath recursions whose sections are other
+symbols or concrete automorphisms, e.g. {"g": (h, "g", 0)} for
+g = (h, g).  Every element built here is a symbol of one, interned per
+system: the states of a Mealy automaton (a system whose sections are
+all states; built in are the five-state machines generating the
+Grigorchuk group and the closure element `f`), the self-similar
+closure elements kbar = (k, kbar), and scattered elements, with one
+symbol per proper prefix of their assigned vertices.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .tree import Automorphism, IDENTITY, activity_rows
+from .tree import Automorphism, IDENTITY, activity_rows, check_vertex
 from .words import check_word, word_element
 
 
@@ -26,9 +24,9 @@ class MealyAutomaton:
     """States mapping name -> (activity, next0, next1), plus a designated
     root state (the one an automaton file denotes by its first line).
 
-    A state counts as the identity when no active state is reachable
-    from it; sections through such states collapse to the shared
-    identity automorphism.
+    The states are the symbols of one recursion system.  A state counts
+    as the identity when no active state is reachable from it; sections
+    through such states collapse to the shared identity automorphism.
     """
 
     def __init__(self, transitions: Mapping[str, tuple[int, str, str]], root: str):
@@ -46,7 +44,9 @@ class MealyAutomaton:
             raise ValueError(f"unknown root state {root!r}")
         self.root = root
         self.identity_states = self._find_identity_states()
-        self._elements: dict[str, Automorphism] = {}
+        refs = {s: IDENTITY if s in self.identity_states else s for s in self.transitions}
+        self._system = RecursionSystem({name: (refs[n0], refs[n1], act)
+                                        for name, (act, n0, n1) in self.transitions.items()})
 
     def _find_identity_states(self) -> frozenset[str]:
         # a state is trivial iff no active state is reachable from it
@@ -68,34 +68,13 @@ class MealyAutomaton:
         return f"MealyAutomaton({len(self.transitions)} states, root={self.root!r})"
 
 
-class _MealyState(Automorphism):
-    __slots__ = ("automaton", "state")
-
-    def __init__(self, automaton: MealyAutomaton, state: str):
-        self.automaton = automaton
-        self.state = state
-
-    @property
-    def root_activity(self) -> int:
-        return self.automaton.transitions[self.state][0]
-
-    def _children(self) -> tuple[Automorphism, Automorphism]:
-        _, n0, n1 = self.automaton.transitions[self.state]
-        return element_of(self.automaton, n0), element_of(self.automaton, n1)
-
-    def __repr__(self) -> str:
-        return f"<automaton state {self.state!r}>"
-
-
 def element_of(automaton: MealyAutomaton, state: str) -> Automorphism:
     """The automorphism defined by a state of the automaton."""
     if state not in automaton.transitions:
         raise ValueError(f"unknown state {state!r}")
     if state in automaton.identity_states:
         return IDENTITY
-    if state not in automaton._elements:
-        automaton._elements[state] = _MealyState(automaton, state)
-    return automaton._elements[state]
+    return automaton._system.element(state)
 
 
 @lru_cache(maxsize=None)
@@ -167,7 +146,8 @@ def format_automaton(automaton: MealyAutomaton) -> str:
 
 class RecursionSystem:
     """Named wreath recursions whose sections may point at other symbols
-    or at concrete automorphisms, e.g. {"g": (h, "g", 0)} for g = (h, g)."""
+    or at concrete automorphisms, e.g. {"g": (h, "g", 0)} for g = (h, g).
+    `element(symbol)` returns one shared object per symbol."""
 
     def __init__(self, definitions: Mapping[str, tuple[object, object, int]]):
         self.definitions = dict(definitions)
@@ -184,33 +164,29 @@ class RecursionSystem:
                 elif not isinstance(ref, Automorphism):
                     raise TypeError(
                         f"symbol {sym!r}: sections must be symbol names or automorphisms")
-        self._elements: dict[str, Automorphism] = {}
+        self._elements = {sym: _RecursionEntry(sym, act)
+                          for sym, (_, _, act) in self.definitions.items()}
+        for sym, (s0, s1, _) in self.definitions.items():
+            self._elements[sym].children = (self._resolve(s0), self._resolve(s1))
 
     def element(self, symbol: str) -> Automorphism:
-        if symbol not in self.definitions:
-            raise ValueError(f"unknown symbol {symbol!r}")
         if symbol not in self._elements:
-            self._elements[symbol] = _RecursionEntry(self, symbol)
+            raise ValueError(f"unknown symbol {symbol!r}")
         return self._elements[symbol]
 
     def _resolve(self, ref) -> Automorphism:
-        return self.element(ref) if isinstance(ref, str) else ref
+        return self._elements[ref] if isinstance(ref, str) else ref
 
 
 class _RecursionEntry(Automorphism):
-    __slots__ = ("system", "symbol")
+    __slots__ = ("symbol", "root_activity", "children")
 
-    def __init__(self, system: RecursionSystem, symbol: str):
-        self.system = system
+    def __init__(self, symbol: str, root_activity: int):
         self.symbol = symbol
-
-    @property
-    def root_activity(self) -> int:
-        return self.system.definitions[self.symbol][2]
+        self.root_activity = root_activity
 
     def _children(self) -> tuple[Automorphism, Automorphism]:
-        s0, s1, _ = self.system.definitions[self.symbol]
-        return self.system._resolve(s0), self.system._resolve(s1)
+        return self.children
 
     def __repr__(self) -> str:
         return f"<recursion symbol {self.symbol!r}>"
@@ -264,12 +240,11 @@ def _parses_as_conjugate_product(word: str) -> bool:
     return False
 
 
-def _check_k_shape(word: str) -> str:
+def _check_k_shape(word: str) -> None:
     check_word(word)
     if not _parses_as_conjugate_product(word):
         raise ValueError(
             f"word {word!r} is not a product of conjugates reverse(w)+'abab'+w")
-    return word
 
 
 def kbar_element(word: str) -> Automorphism:
@@ -283,43 +258,18 @@ def kbar_element(word: str) -> Automorphism:
     return system.element("kbar")
 
 
-class _Scattered(Automorphism):
-    __slots__ = ("table",)
-
-    def __init__(self, table: dict[str, Automorphism]):
-        self.table = table
-
-    @property
-    def root_activity(self) -> int:
-        return 0
-
-    def _children(self) -> tuple[Automorphism, Automorphism]:
-        subs: tuple[dict, dict] = ({}, {})
-        for v, g in self.table.items():
-            subs[int(v[0])][v[1:]] = g
-        return _scattered(subs[0]), _scattered(subs[1])
-
-
-def _scattered(table: dict[str, Automorphism]) -> Automorphism:
-    """The element carrying table[v] below each vertex v: the identity
-    for an empty table, the element itself when the root is assigned."""
-    if not table:
-        return IDENTITY
-    return table[""] if "" in table else _Scattered(table)
-
-
 def scattered_element(assignments: Sequence[tuple[str, str]]) -> Automorphism:
     """An automorphism inactive outside a set of pairwise independent
     vertices, carrying an assigned conjugate-product element below each.
 
     Vertices must be pairwise independent (no label is a prefix of
-    another); assigning the root degenerates to the element itself.
+    another); assigning the root degenerates to the element itself, and
+    otherwise each proper prefix u of an assigned vertex is a symbol (u0, u1).
     """
     table: dict[str, Automorphism] = {}
     labels = []
     for vertex, word in assignments:
-        if any(ch not in "01" for ch in vertex):
-            raise ValueError(f"invalid vertex label {vertex!r}")
+        check_vertex(vertex)
         _check_k_shape(word)
         labels.append(vertex)
         table[vertex] = word_element(word)
@@ -329,7 +279,13 @@ def scattered_element(assignments: Sequence[tuple[str, str]]) -> Automorphism:
         for v in labels[i + 1 :]:
             if u.startswith(v) or v.startswith(u):
                 raise ValueError(f"vertices {u!r} and {v!r} are not independent")
-    return _scattered(table)
+    prefixes = {v[:i] for v in table for i in range(len(v))}
+    if not prefixes:  # nothing assigned, or only the root
+        return table.get("", IDENTITY)
+    refs = {u: u for u in prefixes} | table  # any other child is the identity
+    system = RecursionSystem({u: (refs.get(u + "0", IDENTITY), refs.get(u + "1", IDENTITY), 0)
+                              for u in prefixes})
+    return system.element("")
 
 
 def activity_profile(g: Automorphism, levels: int) -> list[int]:

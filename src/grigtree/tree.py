@@ -30,12 +30,13 @@ vertex, in one of three ways:
   permutations.  The level-n permutation of g starts from img_0 = [0]
   and extends by img_{n+1}[2i+x] = 2 img_n[i] + (x ^ row_n[i]); then
   row(gh) = row(g) ^ row(h)[img(g)] and row(g^-1)[img(g)] = row(g);
-* every other element (Mealy states, words, recursion symbols) is a
-  finite-state object, so its portrait repeats a few states on every
-  level.  A state table that lives for one call interns each state once
-  under its `_state_key()`, expands it once (both children together)
-  into an int32 child array of shape (states, 2), and emits level n as
-  act[ids] before stepping down with ids = child[ids].ravel().
+* every other element (a word, or a recursion-system symbol: automaton
+  states, kbar and scattered elements) is finite-state, so its portrait
+  repeats a few states on every level.  A state table that lives for
+  one call interns each state once under its `_state_key()`, expands it
+  once (both children together) into an int32 child array of shape
+  (states, 2), and emits level n as act[ids] before stepping down with
+  ids = child[ids].ravel().
 """
 
 from __future__ import annotations
@@ -117,9 +118,9 @@ class _Product(Automorphism):
 
     __slots__ = ("factors", "root_activity")
 
-    def __init__(self, factors: tuple[Automorphism, ...]):
+    def __init__(self, factors: tuple[Automorphism, ...], root_activity: int):
         self.factors = factors
-        self.root_activity = sum(g.root_activity for g in factors) & 1
+        self.root_activity = root_activity
 
     def _children(self) -> tuple[Automorphism, Automorphism]:
         pair, x = ([], []), 0  # child 0 of the product enters the next factor at x, child 1 at 1 ^ x
@@ -155,7 +156,7 @@ class _Product(Automorphism):
 
 
 #: The identity automorphism (a shared singleton).
-IDENTITY = _Product(())
+IDENTITY = _Product((), 0)
 
 
 class _Inverse(Automorphism):
@@ -248,9 +249,11 @@ class Portrait:
         for i, row in enumerate(rows):
             if row.shape != (1 << i,):
                 raise ValueError(f"level {i} must hold {1 << i} bits, got {row.size}")
-            if not ((row == 0) | (row == 1)).all():
-                raise ValueError(f"level {i} contains a non-bit entry")
-        bits = np.concatenate([np.zeros(0, dtype=np.uint8), *rows]).astype(np.uint8, copy=False)
+        bits = np.concatenate([np.zeros(0, dtype=np.uint8), *rows])
+        bad = np.flatnonzero((bits != 0) & (bits != 1))
+        if bad.size:  # vertex index v lies on level (v + 1).bit_length() - 1
+            raise ValueError(f"level {int(bad[0] + 1).bit_length() - 1} contains a non-bit entry")
+        bits = bits.astype(np.uint8, copy=False)
         bits.flags.writeable = False
         object.__setattr__(self, "bits", bits)
 
@@ -396,12 +399,13 @@ def compose(g: Automorphism, h: Automorphism) -> Automorphism:
 
 def compose_all(*gs: Automorphism) -> Automorphism:
     """The product g1 g2 ... gn as one product over a flat factor tuple:
-    nested products (the identity among them) are flattened, so products
-    built in a loop never nest."""
+    nested products (the identity among them) are flattened and the root
+    activity sums the arguments' (stored in products), so a product built
+    in a loop never nests and costs linear time."""
     factors = tuple(f for g in gs for f in (g.factors if isinstance(g, _Product) else (g,)))
     if len(factors) == 1:
         return factors[0]
-    return _Product(factors) if factors else IDENTITY
+    return _Product(factors, sum(g.root_activity for g in gs) & 1) if factors else IDENTITY
 
 
 def invert(g: Automorphism) -> Automorphism:

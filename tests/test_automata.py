@@ -35,6 +35,15 @@ def test_grigorchuk_section_structure():
     assert gt.section_at(d, "0") is IDENTITY
 
 
+def test_sections_of_recursion_symbols_are_interned():
+    # the state table keys symbols on identity: a fresh object per section
+    # would add one state per vertex
+    grig = gt.grigorchuk_automaton()
+    assert gt.section_at(gt.element_of(grig, "b"), "1") is gt.element_of(grig, "c")
+    kbar = gt.kbar_element("abab")
+    assert gt.section_at(kbar, "1") is kbar
+
+
 def test_element_of_unknown_state():
     with pytest.raises(ValueError):
         gt.element_of(gt.grigorchuk_automaton(), "z")

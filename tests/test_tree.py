@@ -225,6 +225,10 @@ def test_portrait_validation():
         gt.Portrait(((1,), (0,)))
     with pytest.raises(ValueError):
         gt.Portrait(((2,),))
+    with pytest.raises(ValueError, match="level 2"):
+        gt.Portrait(((0,), (0, 1), (0, 2, 1, 0)))
+    with pytest.raises(ValueError, match="level 1"):
+        gt.Portrait(((0,), (-1, 0)))
 
 
 @given(portrait_keys)
@@ -392,7 +396,7 @@ def test_recursion_and_scattered_rows_match_section_walk(data, depth):
     if kind == "kbar":
         g = gt.kbar_element(_conjugate_product(data))
     elif kind == "scattered":
-        n = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(1, 6))
         labels = data.draw(st.sets(st.integers(0, (1 << n) - 1), max_size=4))
         g = gt.scattered_element([(format(i, f"0{n}b"), _conjugate_product(data)) for i in labels])
     else:
