@@ -228,6 +228,12 @@ def test_verify(capsys):
     assert out == "seed=3 samples=20 max_len=20 violations=0\n"
 
 
+@pytest.mark.parametrize("seed", [0, 11, 2024])
+def test_verify_output_is_pinned(capsys, seed):
+    assert run(capsys, "verify", "--samples", "2000", "--seed", str(seed)) == (
+        0, f"seed={seed} samples=2000 max_len=100 violations=0\n", "")
+
+
 @pytest.mark.parametrize("spec", [
     "word:abx",
     "word",

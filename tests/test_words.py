@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,85 @@ words = st.text(alphabet="abcd", max_size=24)
 long_words = st.text(alphabet="abcd", max_size=200)
 
 LONG_SAMPLE_WORD = "abcaadabdbcadcbdbabdbc"
+
+
+# Per-letter reference copies of the word kernels: one Python step per
+# letter, straight from the definitions.
+
+_KLEIN = {("b", "c"): "d", ("c", "b"): "d", ("b", "d"): "c",
+          ("d", "b"): "c", ("c", "d"): "b", ("d", "c"): "b"}
+_PAIR = ({"b": ("a", "c"), "c": ("a", "d"), "d": ("", "b")},   # even a-parity
+         {"b": ("c", "a"), "c": ("d", "a"), "d": ("b", "")})   # odd a-parity
+
+
+def letter_reduce(word):
+    """Stack rewriting letter by letter: equal letters cancel, {b,c,d}
+    letters merge through the Klein four-group."""
+    if not set(word) <= set("abcd"):
+        raise ValueError(f"invalid word {word!r}: letters must be in 'abcd'")
+    out = []
+    for ch in word:
+        cur = ch
+        while out and cur:
+            top = out[-1]
+            if top == cur:
+                out.pop()
+                cur = None
+            elif top != "a" and cur != "a":
+                out.pop()
+                cur = _KLEIN[(top, cur)]
+            else:
+                break
+        if cur:
+            out.append(cur)
+    return "".join(out)
+
+
+def letter_decompose(word):
+    """Wreath decomposition with a running a-parity, letter by letter."""
+    w0, w1, parity = [], [], 0
+    for ch in word:
+        if ch == "a":
+            parity ^= 1
+            continue
+        try:
+            x, y = _PAIR[parity][ch]
+        except KeyError:
+            raise ValueError(f"invalid letter {ch!r} in word") from None
+        w0.append(x)
+        w1.append(y)
+    return "".join(w0), "".join(w1), parity
+
+
+def letter_beta(word):
+    """(N(1,0), N(1,1), N(0,0), N(0,1)) mod 2 from four count_pq scans."""
+    return tuple(gt.count_pq(word, p, q) & 1 for p, q in ((1, 0), (1, 1), (0, 0), (0, 1)))
+
+
+def _random_word(length, seed):
+    rng = random.Random(seed)
+    return "".join(rng.choice("abcd") for _ in range(length))
+
+
+# words of every length from 0 to 5000, and cascades w + reduce(w)^-1 (the
+# inverse of a word is its reversal), which cancel down to nothing
+kernel_words = st.one_of(
+    st.text(alphabet="abcd", max_size=40),
+    st.builds(_random_word, st.integers(0, 5000), st.integers(0, 2 ** 32)),
+    st.builds(lambda w: w + letter_reduce(w)[::-1],
+              st.builds(_random_word, st.integers(0, 3000), st.integers(0, 2 ** 32))),
+)
+
+
+@st.composite
+def invalid_words(draw):
+    """A word with one letter outside 'abcd' (upper-case ones included)
+    at a random position, and possibly more after it."""
+    word = draw(kernel_words)
+    at = draw(st.integers(0, len(word)))
+    bad = draw(st.sampled_from(["A", "B", "C", "D", "e", "x", " ", "1", "\u00e9", "AB"]))
+    tail = draw(st.sampled_from(["", "B", "z"]))
+    return word[:at] + bad + word[at:] + tail
 
 
 def brute_count_p(word, subset, p):
@@ -175,6 +256,39 @@ def test_pair_count_parity_cases(w):
         assert n[0, 1] == n[1, 1] == n[1, 0]
     else:
         assert n[0, 0] == n[1, 1] != n[1, 0]
+
+
+@given(kernel_words)
+@settings(max_examples=120, deadline=None)
+def test_word_kernels_match_the_letter_references(w):
+    assert gt.reduce(w) == letter_reduce(w)
+    assert gt.decompose_word(w) == letter_decompose(w)
+    assert gt.beta_from_counts(w) == letter_beta(w)
+
+
+@given(st.builds(_random_word, st.integers(0, 3000), st.integers(0, 2 ** 32)))
+@settings(max_examples=30, deadline=None)
+def test_cascade_words_reduce_to_nothing(w):
+    assert gt.reduce(w + gt.reduce(w)[::-1]) == ""
+
+
+def _error(f, word):
+    with pytest.raises(ValueError) as info:
+        f(word)
+    return str(info.value)
+
+
+@given(invalid_words())
+@settings(max_examples=80, deadline=None)
+def test_word_kernels_reject_invalid_letters_like_the_references(w):
+    assert _error(gt.reduce, w) == _error(letter_reduce, w)
+    assert _error(gt.decompose_word, w) == _error(letter_decompose, w)
+    assert _error(gt.beta_from_counts, w) == _error(letter_beta, w)
+
+
+def test_decompose_names_the_first_invalid_letter():
+    assert _error(gt.decompose_word, "abBe") == "invalid letter 'B' in word"
+    assert _error(gt.decompose_word, "aaxB") == "invalid letter 'x' in word"
 
 
 def test_word_element_empty_is_identity():
