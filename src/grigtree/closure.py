@@ -104,9 +104,18 @@ def _profiles(l1, l2, l3):
 
 def _windows(bits: np.ndarray, v: int, n: int) -> list[np.ndarray]:
     """Level rows 1-3 of the windows below vertex indices v..v+n-1 of a
-    vertex-order bit row, with 2, 4 and 8 columns."""
-    return [bits[((v + 1) << k) - 1:((v + 1 + n) << k) - 1].reshape(n, 1 << k)
+    vertex-order bit row (or of each row of a matrix of them, row by row),
+    with 2, 4 and 8 columns."""
+    return [bits[..., ((v + 1) << k) - 1:((v + 1 + n) << k) - 1].reshape(-1, 1 << k)
             for k in (1, 2, 3)]
+
+
+def _failing_windows(bits: np.ndarray) -> np.ndarray:
+    """Which complete windows of depth-d vertex-order bit rows (the last
+    axis) fail: the windows below vertices v < 2^(d-3) - 1 in vertex
+    order, one row of them per bit row."""
+    n = (1 << (bits.shape[-1].bit_length() - 3)) - 1
+    return ~_ADMISSIBLE[_profiles(*_windows(bits, 0, n))].reshape(*bits.shape[:-1], n)
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +212,7 @@ def portrait_closure_verdict(p: Portrait) -> ClosureVerdict:
     """
     if p.depth < 4:
         raise ValueError("closure checks need portrait depth >= 4")
-    bad = ~_ADMISSIBLE[_profiles(*_windows(p.bits, 0, (1 << (p.depth - 3)) - 1))]
+    bad = _failing_windows(p.bits)
     if not bad.any():
         return ClosureVerdict(True, p.depth)
     return ClosureVerdict(False, p.depth, vertex_label(int(bad.argmax())))

@@ -36,7 +36,8 @@ vertex, in one of three ways:
   one call interns each state once under its `_state_key()`, expands it
   once (both children together) into an int32 child array of shape
   (states, 2), and emits level n as act[ids] before stepping down with
-  ids = child[ids].ravel().
+  ids = child[ids].  One table can serve many roots at once, a row of
+  ids per root (`_table_rows`); a portrait is the one-root case.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class Automorphism:
         return self
 
     def _rows(self, depth: int) -> Iterator[np.ndarray]:
-        return _table_rows(self, depth)
+        return (rows[0] for rows in _table_rows((self,), depth))
 
     def section(self, x: int) -> "Automorphism":
         """The section at child x (0 or 1)."""
@@ -199,31 +200,39 @@ def _extend_image(img: np.ndarray, row: np.ndarray) -> np.ndarray:
     return (((img << 1) | row)[:, None] ^ np.array([0, 1], dtype=np.intp)).ravel()
 
 
-def _table_rows(g: Automorphism, depth: int) -> Iterator[np.ndarray]:
-    """Rows of a finite-state element from a state table built for this
-    call: each state is interned once by `_state_key()` and expanded once,
-    both children together, on the level below the one it first shows on."""
-    index = {g._state_key(): 0}
-    states = [g]
-    acts = [g.root_activity]
+def _table_rows(roots, depth: int) -> Iterator[np.ndarray]:
+    """Rows of finite-state elements from one state table built for this
+    call, one (len(roots), 2^n) array per level n: each state is interned
+    once by `_state_key()` and expanded once, both children together, on
+    the level below the one it first shows on.  Roots share the table, so
+    sections common to several of them are expanded once."""
+    index: dict = {}
+    states: list[Automorphism] = []
+    acts: list[int] = []
+
+    def intern(elements, out: list[int]) -> None:
+        for h in elements:
+            key = h._state_key()
+            t = index.get(key)
+            if t is None:
+                t = index[key] = len(states)
+                states.append(h)
+                acts.append(h.root_activity)
+            out.append(t)
+
+    root_ids: list[int] = []
+    intern(roots, root_ids)
     kids: list[int] = []  # children of states[:len(kids) // 2], two ids each
     act = np.array(acts, dtype=np.uint8)
-    ids = np.zeros(1, dtype=np.int32)
+    ids = np.array(root_ids, dtype=np.int32)[:, None]
     for n in range(depth):
         if n:
             if len(kids) < 2 * len(states):
                 for state in states[len(kids) // 2:]:
-                    for h in state._children():
-                        key = h._state_key()
-                        t = index.get(key)
-                        if t is None:
-                            t = index[key] = len(states)
-                            states.append(h)
-                            acts.append(h.root_activity)
-                        kids.append(t)
+                    intern(state._children(), kids)
                 act = np.array(acts, dtype=np.uint8)
                 child = np.array(kids, dtype=np.int32).reshape(-1, 2)
-            ids = child[ids].ravel()
+            ids = child[ids].reshape(ids.shape[0], -1)
         yield act[ids]
 
 

@@ -16,82 +16,118 @@ closure module).
 
 from __future__ import annotations
 
+import numpy as np
+
 from .tree import Automorphism, IDENTITY
 
 ALPHABET = "abcd"
-_LETTERS = frozenset(ALPHABET)
 B_LETTERS = "bcd"
 
-_KLEIN = {
-    ("b", "c"): "d", ("c", "b"): "d",
-    ("b", "d"): "c", ("d", "b"): "c",
-    ("c", "d"): "b", ("d", "c"): "b",
-}
+#: Deletes the generator letters: what is left of a word is its invalid letters.
+_DROP_LETTERS = str.maketrans("", "", ALPHABET)
 
-# Wreath decomposition of a single generator at even / odd a-parity:
-# even parity contributes the generator's own pair, odd parity the pair
-# of its a-conjugate.  "" stands for the trivial section.
-_PAIR_EVEN = {"b": ("a", "c"), "c": ("a", "d"), "d": ("", "b")}
-_PAIR_ODD = {"b": ("c", "a"), "c": ("d", "a"), "d": ("b", "")}
+# Wreath decomposition of a {b,c,d}-letter, written in lower case at even
+# a-parity and in upper case at odd parity (where it contributes the pair
+# of its a-conjugate): b = (a, c), c = (a, d), d = (1, b), and
+# aba = (c, a), aca = (d, a), ada = (b, 1).  A deleted letter is the
+# trivial section.
+_SECTION_0 = str.maketrans({"b": "a", "c": "a", "d": None, "B": "c", "C": "d", "D": "b"})
+_SECTION_1 = str.maketrans({"b": "c", "c": "d", "d": "b", "B": "a", "C": "a", "D": None})
+
+#: Letters of the Klein four-group {1, b, c, d} by value under xor (b=1,
+#: c=2, d=3), and the value of each letter's byte (0 for a).
+_KLEIN_LETTER = ("", "b", "c", "d")
+_KLEIN_VALUE = np.zeros(128, dtype=np.uint8)
+_KLEIN_VALUE[[ord(ch) for ch in B_LETTERS]] = (1, 2, 3)
+
+#: Every rewrite that shortens a word: equal letters cancel, and two of
+#: b, c, d multiply to the third.
+_RELATIONS = (("aa", ""), ("bb", ""), ("cc", ""), ("dd", ""), ("bc", "d"), ("cb", "d"),
+              ("bd", "c"), ("db", "c"), ("cd", "b"), ("dc", "b"))
+
+#: Words of at least this many letters (after a-pairs cancel) reduce
+#: segment by segment: one numpy pass, then one step per segment.
+#: Shorter ones are rewritten to a fixed point, which costs less per call.
+SEGMENT_REDUCE_MIN = 64
 
 
 def check_word(word: str) -> str:
-    if not set(word) <= _LETTERS:
+    if word.translate(_DROP_LETTERS):
         raise ValueError(f"invalid word {word!r}: letters must be in 'abcd'")
     return word
+
+
+def _letter_codes(word: str) -> np.ndarray:
+    """The bytes of a checked word as a uint8 array."""
+    return np.frombuffer(word.encode("ascii"), dtype=np.uint8)
 
 
 def reduce(word: str) -> str:
     """Canonical alternating form of a word, equal to it in the group.
 
-    Left-to-right stack rewriting: adjacent equal letters cancel and
-    adjacent {b,c,d}-letters merge through the Klein four-group table,
-    iterated until no two same-type letters are adjacent.  Idempotent.
+    Reduction uses only a^2 = 1 and the Klein four-group {1, b, c, d}, so
+    it computes the normal form in their free product Z2 * V4: letters
+    alternating between a and one of b, c, d.  That form is unique, so
+    both paths give the same word.  After the a-runs lose their pairs,
+    a word shorter than SEGMENT_REDUCE_MIN letters is rewritten with
+    every relation until none applies (each pass is a few C-speed
+    replaces, but may undo only one nested layer of a word like
+    w reduce(w)^-1); a longer one goes through its a-separated segments
+    (`_reduce_segments`), in time linear in its length.  Idempotent.
     """
     check_word(word)
-    out: list[str] = []
-    for ch in word:
-        cur: str | None = ch
-        while out and cur:
-            top = out[-1]
-            if top == cur:
-                out.pop()
-                cur = None
-            elif top != "a" and cur != "a":
-                out.pop()
-                cur = _KLEIN[(top, cur)]
-            else:
-                break
-        if cur:
-            out.append(cur)
-    return "".join(out)
+    word = word.replace("aa", "")
+    if len(word) >= SEGMENT_REDUCE_MIN:
+        return _reduce_segments(word)
+    size = -1
+    while size != len(word):
+        size = len(word)
+        for pair, product in _RELATIONS:
+            word = word.replace(pair, product)
+    return word
+
+
+def _reduce_segments(word: str) -> str:
+    """Write the word as v0 a v1 a ... a vk with each v_i the Klein value
+    of an a-free segment (one xor-reduceat; a segment after an a starts
+    at that a, whose value is 0).  A stack of values then keeps every
+    value above the bottom one nonzero: a v after a top 1 cancels that
+    pair of a's and merges v into the value below.  The bottom value
+    carries bit 2, so that it is never taken for an inner 1."""
+    codes = _KLEIN_VALUE[_letter_codes(word)]
+    starts = np.flatnonzero(codes == 0)
+    values = np.bitwise_xor.reduceat(codes, np.concatenate(([0], starts))).tolist()
+    stack = [values[0] | 4]
+    push, pop = stack.append, stack.pop
+    for v in values[1:]:
+        if stack[-1]:
+            push(v)
+        else:
+            pop()
+            stack[-1] ^= v
+    stack[0] &= 3
+    return "a".join([_KLEIN_LETTER[v] for v in stack])
 
 
 def decompose_word(word: str) -> tuple[str, str, int]:
     """Wreath decomposition (W0, W1, eps) with W = (W0, W1) swap^eps.
 
-    Scans W once with a running a-parity: each {b,c,d}-letter emits its
-    section pair (the pair of the letter itself at even parity, of its
-    a-conjugate at odd parity); eps is the parity of the number of a's.
-    Only the cancellation aa = 1 is ever used, never relations between
-    {b,c,d}-letters, so the section words stay in raw (undeduced) form.
+    Splits W at its a's and upper-cases the segments after an odd number
+    of them; one translation of the joined segments per child then
+    emits each {b,c,d}-letter's section (the letter's own at even
+    parity, its a-conjugate's at odd parity), and eps is the parity of
+    the number of a's.  Only the cancellation aa = 1 is ever used, never
+    relations between {b,c,d}-letters, so the section words stay in raw
+    (unreduced) form.
     """
-    w0: list[str] = []
-    w1: list[str] = []
-    parity = 0
-    for ch in word:
-        if ch == "a":
-            parity ^= 1
-            continue
-        try:
-            x, y = (_PAIR_ODD if parity else _PAIR_EVEN)[ch]
-        except KeyError:
-            raise ValueError(f"invalid letter {ch!r} in word") from None
-        if x:
-            w0.append(x)
-        if y:
-            w1.append(y)
-    return "".join(w0), "".join(w1), parity
+    invalid = word.translate(_DROP_LETTERS)
+    if invalid:
+        raise ValueError(f"invalid letter {invalid[0]!r} in word")
+    segments = word.split("a")
+    if len(segments) > 1:
+        segments[1::2] = [s.upper() for s in segments[1::2]]
+        word = "".join(segments)
+    return word.translate(_SECTION_0), word.translate(_SECTION_1), (len(segments) - 1) & 1
 
 
 def section_words(word: str, depth: int) -> dict[str, str]:
@@ -171,14 +207,21 @@ def beta_from_counts(word: str) -> tuple[int, int, int, int]:
 
         beta00 = N(1,0),  beta01 = N(1,1),  beta10 = N(0,0),  beta11 = N(0,1),
 
-    all modulo 2, where N(p,q) = count_pq(word, p, q).
+    all modulo 2, where N(p,q) = count_pq(word, p, q).  One vectorised
+    pass: running xors give each letter's a-parity and, for each parity,
+    the parity of the {b,c}-letters of that a-parity seen so far.
     """
-    return (
-        count_pq(word, 1, 0) & 1,
-        count_pq(word, 1, 1) & 1,
-        count_pq(word, 0, 0) & 1,
-        count_pq(word, 0, 1) & 1,
-    )
+    check_word(word)
+    codes = _letter_codes(word)
+    odd = np.logical_xor.accumulate(codes == 97)  # a-parity before each b, c, d
+    bc = (codes == 98) | (codes == 99)
+    bc_odd = bc & odd
+    bc_even = bc & ~odd
+    n10 = np.count_nonzero(bc_odd & ~np.logical_xor.accumulate(bc_even))
+    n00 = np.count_nonzero(bc_even & ~np.logical_xor.accumulate(bc_odd))
+    n11 = np.count_nonzero(bc_odd) - n10
+    n01 = np.count_nonzero(bc_even) - n00
+    return n10 & 1, n11 & 1, n00 & 1, n01 & 1
 
 
 class WordAutomorphism(Automorphism):
