@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 
 from .automata import (activity_profile, element_of, f_automaton,
@@ -31,6 +32,12 @@ from .oracle import enumerate_quotient, save_portrait_set, verify_window_constra
 from .tree import (Automorphism, Portrait, TruncationAutomorphism, apply,
                    check_vertex, portrait_of, vertex_label)
 from .words import check_word, decompose_word, reduce, section_words, word_element
+
+
+# Move every object that importing left behind into the permanent
+# generation, once: otherwise the first young-generation collection walks
+# them all (about a millisecond) inside whichever command triggers it.
+gc.freeze()
 
 
 class DesignatorError(ValueError):
@@ -80,6 +87,9 @@ def _element(spec: str) -> Automorphism:
 #: Depth of the deepest portrait built without --large: sampling 2^22
 #: vertices takes seconds, and every further level doubles time and memory.
 MAX_DEPTH = 22
+#: Deepest `decompose --depth` without --large: depth 18 prints 2^19 - 1
+#: section words (about 2 s and 160 MiB), and each level doubles both.
+MAX_SECTION_DEPTH = 18
 
 
 def _require_large(args, flag: str, value: int, limit: int) -> None:
@@ -107,6 +117,7 @@ def cmd_decompose(args) -> int:
         w0, w1, parity = decompose_word(word)
         print(f"0: {w0 or '-'}  1: {w1 or '-'}  sigma: {parity}")
         return 0
+    _require_large(args, "--depth", args.depth, MAX_SECTION_DEPTH)
     sections = section_words(word, args.depth)
     for u in sorted(sections, key=lambda v: (len(v), v)):
         print(f"{u or '-'}: {sections[u] or '-'}")
@@ -198,9 +209,9 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _large_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--large", action="store_true",
-                   help=f"allow portraits deeper than {MAX_DEPTH} levels")
+def _large_flag(p: argparse.ArgumentParser,
+                what: str = f"portraits deeper than {MAX_DEPTH} levels") -> None:
+    p.add_argument("--large", action="store_true", help=f"allow {what}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -221,6 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
     p.add_argument("--depth", type=int, default=None,
                    help="print raw section words for all vertices up to this depth")
+    _large_flag(p, f"--depth beyond {MAX_SECTION_DEPTH}")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("act", help="image of a vertex under an element")
@@ -246,8 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="BFS the group modulo the level-n stabilizer")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--out", help="write the portrait-key cache to this file")
-    p.add_argument("--large", action="store_true",
-                   help="allow the 4.2M-element level-5 enumeration")
+    _large_flag(p, "the 4.2M-element level-5 enumeration")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("hausdorff",

@@ -264,15 +264,23 @@ def complete_window(
                             tuple((row >> r) & 1 for r in range(8)))
 
 
-def _seed_bits(seed: int, level: int, indices) -> list[int]:
+def _seed_bits(seed: int, level: int, indices: np.ndarray) -> np.ndarray:
     """Deterministic bits at the given vertices of a level: a
     counter-based generator keyed by (seed, vertex label), so extending
     the depth never changes the bits already drawn at shallower
-    vertices."""
+    vertices.  The labels f"{seed}|{u}" are the rows of one byte matrix,
+    and each row slice is hashed."""
+    prefix = f"{seed}|".encode()
+    width = len(prefix) + level
+    labels = np.empty((len(indices), width), dtype=np.uint8)
+    labels[:, :len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
+    for j in range(level):  # the label's binary digits, most significant first
+        labels[:, len(prefix) + j] = 48 + ((indices >> (level - 1 - j)) & 1)
+    data = memoryview(labels).cast("B")
     blake2b = hashlib.blake2b
-    fmt = f"0{level}b"
-    labels = [format(i, fmt) for i in indices] if level else [""]
-    return [blake2b(f"{seed}|{u}".encode(), digest_size=8).digest()[0] & 1 for u in labels]
+    return np.fromiter((blake2b(data[i:i + width], digest_size=8).digest()[0] & 1
+                        for i in range(0, data.nbytes, width)),
+                       dtype=np.uint8, count=len(indices))
 
 
 def sample_closure_element(seed: int, depth: int) -> Portrait:
@@ -286,14 +294,13 @@ def sample_closure_element(seed: int, depth: int) -> Portrait:
     """
     if depth < 4:
         raise ValueError("sampling needs depth >= 4")
-    rows = [np.array(_seed_bits(seed, level, range(1 << level)), dtype=np.uint8)
-            for level in range(3)]
+    rows = [_seed_bits(seed, level, np.arange(1 << level)) for level in range(3)]
     table = _window_rows()
     for level in range(3, depth):
         index = np.arange(1 << level)
         free_at = index[(index & 1 == 1) | (index & 7 == 6)]
         row = np.zeros(1 << level, dtype=np.uint8)
-        row[free_at] = _seed_bits(seed, level, free_at.tolist())
+        row[free_at] = _seed_bits(seed, level, free_at)
         l1 = rows[level - 2].reshape(-1, 2)
         l2 = rows[level - 1].reshape(-1, 4)
         l3 = row.reshape(-1, 8)

@@ -224,6 +224,7 @@ def _table_rows(roots, depth: int) -> Iterator[np.ndarray]:
     intern(roots, root_ids)
     kids: list[int] = []  # children of states[:len(kids) // 2], two ids each
     act = np.array(acts, dtype=np.uint8)
+    child = np.zeros((0, 2), dtype=np.int32)
     ids = np.array(root_ids, dtype=np.int32)[:, None]
     for n in range(depth):
         if n:
@@ -232,7 +233,7 @@ def _table_rows(roots, depth: int) -> Iterator[np.ndarray]:
                     intern(state._children(), kids)
                 act = np.array(acts, dtype=np.uint8)
                 child = np.array(kids, dtype=np.int32).reshape(-1, 2)
-            ids = child[ids].reshape(ids.shape[0], -1)
+            ids = child[ids].reshape(len(ids), 1 << n)
         yield act[ids]
 
 

@@ -326,6 +326,8 @@ def test_main_reuses_one_parser(capsys):
     ["sample", "--seed", "1", "--depth", "40"],
     ["bounded", "auto:f", "--levels", "40"],
     ["bounded", "auto:f", "--levels", "22"],
+    ["decompose", "abcd", "--depth", "40"],
+    ["decompose", "abcd", "--depth", "19"],
 ])
 def test_deep_requests_need_large(capsys, argv):
     start = time.perf_counter()
@@ -334,6 +336,25 @@ def test_deep_requests_need_large(capsys, argv):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "--large" in err
+
+
+def test_decompose_depth_gate(capsys, monkeypatch):
+    monkeypatch.setattr("grigtree.cli.MAX_SECTION_DEPTH", 1)
+    code, out, err = run(capsys, "decompose", "abdabac", "--depth", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: --depth 2 is above 1, and each level doubles the work; " \
+                  "pass --large to allow it\n"
+    code, out, _ = run(capsys, "decompose", "abdabac", "--depth", "2", "--large")
+    assert code == 0 and len(out.splitlines()) == 7
+    assert run(capsys, "decompose", "abdabac", "--depth", "1") == (0, "-: abdabac\n0: cbad\n1: aca\n", "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--max-len", "-1"], "error: max_len must be non-negative, got -1\n"),
+    (["verify", "--samples", "-3"], "error: samples must be non-negative, got -3\n"),
+])
+def test_verify_rejects_bad_arguments(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", message)
 
 
 def test_largest_request_without_large_runs(capsys):

@@ -227,6 +227,53 @@ def test_random_words_never_violate_the_windows():
     assert report.summary() == "seed=7 samples=50 max_len=30 violations=0"
 
 
+def _drawn_words(samples, max_len, seed):
+    """The words verify_window_constraints draws, in sample order."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(samples):
+        length = rng.randint(0, max_len)
+        out.append("".join(rng.choice("abcd") for _ in range(length)))
+    return out
+
+
+def test_forced_violations_are_listed_at_their_sample_positions(monkeypatch):
+    words = _drawn_words(20, 12, 5)
+    # positions 2 and 9 lie in the first and second chunks of 7 samples
+    targets = [words[2], words[9]]
+    assert all(words.count(w) == 1 for w in targets)
+
+    def flipped(w):
+        """w's depth-8 portrait with the bit at vertex 0000 flipped, which
+        breaks the window below vertex 0."""
+        bits = gt.portrait_of(gt.word_element(w), 8).bits.copy()
+        bits[gt.tree.vertex_index("0000")] ^= 1
+        return TruncationAutomorphism(Portrait.unpack(
+            int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"), 8))
+
+    word_element = gt.word_element
+    monkeypatch.setattr("grigtree.oracle.VERIFY_CHUNK", 7)
+    monkeypatch.setattr("grigtree.oracle.word_element",
+                        lambda w: flipped(w) if w in targets else word_element(w))
+    report = gt.verify_window_constraints(20, 12, 5)
+    assert report.violations == targets
+    assert report.summary() == "seed=5 samples=20 max_len=12 violations=2"
+
+
+@pytest.mark.parametrize("samples, max_len, message", [
+    (-3, 10, "samples must be non-negative, got -3"),
+    (5, -1, "max_len must be non-negative, got -1"),
+])
+def test_verify_rejects_negative_arguments(samples, max_len, message):
+    with pytest.raises(ValueError, match=message):
+        gt.verify_window_constraints(samples, max_len)
+
+
+def test_verify_accepts_empty_runs():
+    assert gt.verify_window_constraints(0, 10).summary() == "seed=0 samples=0 max_len=10 violations=0"
+    assert gt.verify_window_constraints(5, 0).ok
+
+
 def test_verification_report_flags_violations():
     report = gt.VerificationReport(samples=1, max_len=1, seed=0,
                                    violations=["bad"])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import grigtree as gt
 from grigtree import IDENTITY
-from grigtree.tree import vertex_index, vertex_label
+from grigtree.tree import _table_rows, vertex_index, vertex_label
 from grigtree.words import decompose_word
 
 words = st.text(alphabet="abcd", max_size=24)
@@ -350,6 +350,24 @@ def test_each_word_is_decomposed_once(monkeypatch):
     g = gt.word_element("abdabac")
     g.section(0), g.section(1), g.section(0)
     assert decomposed == ["abdabac"]
+
+
+@given(st.lists(st.text(alphabet="abcd", max_size=60), max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_many_roots_share_one_table(ws):
+    roots = [gt.word_element(w) for w in ws]
+    rows = list(_table_rows(roots, 8))
+    assert [row.shape for row in rows] == [(len(ws), 1 << n) for n in range(8)]
+    for i, w in enumerate(ws):
+        assert gt.Portrait(row[i] for row in rows) == gt.portrait_of(gt.word_element(w), 8)
+
+
+def test_many_roots_mix_element_families():
+    roots = [gt.word_element("abac"), gt.element_of(gt.f_automaton(), "f"),
+             gt.kbar_element("abab"), IDENTITY, gt.word_element("abac")]
+    rows = list(_table_rows(roots, 7))
+    for i, g in enumerate(roots):
+        assert gt.Portrait(row[i] for row in rows) == gt.portrait_of(g, 7)
 
 
 def _mealy_element(data):
