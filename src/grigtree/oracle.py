@@ -25,6 +25,10 @@ again, since s*s = 1, or a neighbour of the parent, since bcd = 1, so it
 is never new.  Both steps use only the group relations, never the
 window constraints.  Sets are deduplicated by sorting and comparing
 neighbours, and membership is a binary search.
+
+The random-word check builds the depth-8 rows of a chunk of sampled
+words from one state table, so sections the words share are expanded
+once, and scores all windows of the chunk in one pass.
 """
 
 from __future__ import annotations
@@ -299,8 +303,6 @@ class VerificationReport:
                 f"max_len={self.max_len} violations={len(self.violations)}")
 
 
-#: Depth of the portraits `verify_window_constraints` checks.
-VERIFY_DEPTH = 8
 #: Samples whose rows come from one state table: memory stays flat in the
 #: number of samples.
 VERIFY_CHUNK = 4096
@@ -328,7 +330,7 @@ def verify_window_constraints(samples: int, max_len: int, seed: int = 0) -> Veri
         for _ in range(min(VERIFY_CHUNK, samples - start)):
             length = rng.randint(0, max_len)
             words.append("".join([choice(ALPHABET) for _ in range(length)]))
-        rows = _table_rows([word_element(w) for w in words], VERIFY_DEPTH)
+        rows = _table_rows([word_element(w) for w in words], 8)
         bad = _failing_windows(np.concatenate(list(rows), axis=1)).any(axis=1)
         report.violations.extend(words[i] for i in np.flatnonzero(bad))
     return report

@@ -12,6 +12,13 @@ occurrence statistics of {b,c,d}-letters classified by the parity of the
 preceding a-count; those statistics determine the near-top portrait
 decoration of the represented element (see `beta_from_counts` and the
 closure module).
+
+The kernels never step through a word letter by letter in Python:
+`decompose_word` is a split at the a's and two `str.translate` calls,
+`reduce` is a few `str.replace` passes (short words) or one numpy pass
+plus one stack step per a-separated segment (long words), and
+`beta_from_counts` is one numpy pass.  `count_p` and `count_pq` keep the
+per-letter definitions.
 """
 
 from __future__ import annotations
@@ -57,23 +64,17 @@ def check_word(word: str) -> str:
     return word
 
 
-def _letter_codes(word: str) -> np.ndarray:
-    """The bytes of a checked word as a uint8 array."""
-    return np.frombuffer(word.encode("ascii"), dtype=np.uint8)
-
-
 def reduce(word: str) -> str:
     """Canonical alternating form of a word, equal to it in the group.
 
     Reduction uses only a^2 = 1 and the Klein four-group {1, b, c, d}, so
-    it computes the normal form in their free product Z2 * V4: letters
-    alternating between a and one of b, c, d.  That form is unique, so
-    both paths give the same word.  After the a-runs lose their pairs,
-    a word shorter than SEGMENT_REDUCE_MIN letters is rewritten with
-    every relation until none applies (each pass is a few C-speed
-    replaces, but may undo only one nested layer of a word like
-    w reduce(w)^-1); a longer one goes through its a-separated segments
-    (`_reduce_segments`), in time linear in its length.  Idempotent.
+    it computes the normal form in their free product Z2 * V4 (letters
+    alternating between a and one of b, c, d), which is unique: both
+    paths give the same word.  Once the a-runs lose their pairs, a word
+    shorter than SEGMENT_REDUCE_MIN is rewritten with every relation
+    until none applies (each pass is ten C-speed replaces, but may undo
+    only one nested layer of a word like w reduce(w)^-1); a longer one
+    goes through its a-separated segments in linear time.  Idempotent.
     """
     check_word(word)
     word = word.replace("aa", "")
@@ -94,7 +95,7 @@ def _reduce_segments(word: str) -> str:
     value above the bottom one nonzero: a v after a top 1 cancels that
     pair of a's and merges v into the value below.  The bottom value
     carries bit 2, so that it is never taken for an inner 1."""
-    codes = _KLEIN_VALUE[_letter_codes(word)]
+    codes = _KLEIN_VALUE[np.frombuffer(word.encode("ascii"), dtype=np.uint8)]
     starts = np.flatnonzero(codes == 0)
     values = np.bitwise_xor.reduceat(codes, np.concatenate(([0], starts))).tolist()
     stack = [values[0] | 4]
@@ -212,7 +213,7 @@ def beta_from_counts(word: str) -> tuple[int, int, int, int]:
     the parity of the {b,c}-letters of that a-parity seen so far.
     """
     check_word(word)
-    codes = _letter_codes(word)
+    codes = np.frombuffer(word.encode("ascii"), dtype=np.uint8)
     odd = np.logical_xor.accumulate(codes == 97)  # a-parity before each b, c, d
     bc = (codes == 98) | (codes == 99)
     bc_odd = bc & odd

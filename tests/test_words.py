@@ -272,6 +272,18 @@ def test_cascade_words_reduce_to_nothing(w):
     assert gt.reduce(w + gt.reduce(w)[::-1]) == ""
 
 
+@pytest.mark.parametrize("segment_min", [1, 10 ** 9])
+def test_both_reduce_paths_give_the_normal_form(monkeypatch, segment_min):
+    """Every word through the segment path, then every word through the
+    rewriting path, whatever its length."""
+    monkeypatch.setattr("grigtree.words.SEGMENT_REDUCE_MIN", segment_min)
+    rng = random.Random(segment_min)
+    for n in [*range(40), 63, 64, 65, 200, 1000]:
+        w = _random_word(n, rng.random())
+        assert gt.reduce(w) == letter_reduce(w)
+        assert gt.reduce(w + letter_reduce(w)[::-1]) == ""
+
+
 def _error(f, word):
     with pytest.raises(ValueError) as info:
         f(word)
