@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import sys
 
 from .automata import (activity_profile, element_of, f_automaton,
@@ -32,12 +31,6 @@ from .oracle import enumerate_quotient, save_portrait_set, verify_window_constra
 from .tree import (Automorphism, Portrait, TruncationAutomorphism, apply,
                    check_vertex, portrait_of, vertex_label)
 from .words import check_word, decompose_word, reduce, section_words, word_element
-
-
-# Move every object that importing left behind into the permanent
-# generation, once: otherwise the first young-generation collection walks
-# them all (about a millisecond) inside whichever command triggers it.
-gc.freeze()
 
 
 class DesignatorError(ValueError):

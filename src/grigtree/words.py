@@ -54,8 +54,10 @@ _RELATIONS = (("aa", ""), ("bb", ""), ("cc", ""), ("dd", ""), ("bc", "d"), ("cb"
 
 #: Words of at least this many letters (after a-pairs cancel) reduce
 #: segment by segment: one numpy pass, then one step per segment.
-#: Shorter ones are rewritten to a fixed point, which costs less per call.
-SEGMENT_REDUCE_MIN = 64
+#: Shorter ones are rewritten to a fixed point, which costs less per call:
+#: the numpy pass has a fixed cost of about 10 us, and rewriting, which
+#: grows with the length, catches up with it between 88 and 112 letters.
+SEGMENT_REDUCE_MIN = 96
 
 
 def check_word(word: str) -> str:

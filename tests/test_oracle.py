@@ -260,15 +260,6 @@ def test_forced_violations_are_listed_at_their_sample_positions(monkeypatch):
     assert report.summary() == "seed=5 samples=20 max_len=12 violations=2"
 
 
-@pytest.mark.parametrize("samples, max_len, message", [
-    (-3, 10, "samples must be non-negative, got -3"),
-    (5, -1, "max_len must be non-negative, got -1"),
-])
-def test_verify_rejects_negative_arguments(samples, max_len, message):
-    with pytest.raises(ValueError, match=message):
-        gt.verify_window_constraints(samples, max_len)
-
-
 def test_verify_accepts_empty_runs():
     assert gt.verify_window_constraints(0, 10).summary() == "seed=0 samples=0 max_len=10 violations=0"
     assert gt.verify_window_constraints(5, 0).ok

@@ -266,19 +266,13 @@ def test_word_kernels_match_the_letter_references(w):
     assert gt.beta_from_counts(w) == letter_beta(w)
 
 
-@given(st.builds(_random_word, st.integers(0, 3000), st.integers(0, 2 ** 32)))
-@settings(max_examples=30, deadline=None)
-def test_cascade_words_reduce_to_nothing(w):
-    assert gt.reduce(w + gt.reduce(w)[::-1]) == ""
-
-
 @pytest.mark.parametrize("segment_min", [1, 10 ** 9])
 def test_both_reduce_paths_give_the_normal_form(monkeypatch, segment_min):
     """Every word through the segment path, then every word through the
     rewriting path, whatever its length."""
     monkeypatch.setattr("grigtree.words.SEGMENT_REDUCE_MIN", segment_min)
     rng = random.Random(segment_min)
-    for n in [*range(40), 63, 64, 65, 200, 1000]:
+    for n in [*range(40), 95, 96, 97, 200, 1000]:
         w = _random_word(n, rng.random())
         assert gt.reduce(w) == letter_reduce(w)
         assert gt.reduce(w + letter_reduce(w)[::-1]) == ""
