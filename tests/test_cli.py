@@ -179,6 +179,11 @@ PORTRAIT_SHA256 = {
         "a0429ee91c063aab039bca961b2fef7fdae61de3938471c6e0e0e56cdb296d04",
     (f"kbar:{PORTRAIT_KBAR_WORD}", 9, "dot"):
         "425a39cf40057d6f5eb459e18d82e871e092a9731e0ecd0b9d710f8f8b6e14f8",
+    ("auto:f", 18, "text"): "a93ba34f2ecfb26fcdc294db7437386c9e8a3a0f98b077f913f1615a3bc18265",
+    ("word:abacabad", 20, "text"):
+        "9b14c0c251ba3ae738905e91a3cf21e70340aac26ee2a7460e4b4c934cbc7f87",
+    (f"kbar:{PORTRAIT_KBAR_WORD}", 18, "text"):
+        "c9f4ddbbad8b802ec1ab7fb6c334998ad42303e555a22014b6547910f2c4add1",
 }
 
 

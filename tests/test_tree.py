@@ -1,7 +1,9 @@
 import random
+import re
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -206,6 +208,44 @@ def test_portrait_text_roundtrip(key_depth):
 def test_portrait_from_text_ignores_comments_and_blanks():
     p = gt.Portrait.from_text("# a comment\n1\n\n01\n")
     assert p.levels == ((1,), (0, 1))
+
+
+def test_portrait_from_text_round_trips_with_comments_crlf_and_spaces():
+    p = gt.portrait_of(gt.word_element("abacabad"), 6)
+    lines = p.to_text().splitlines()
+    text = "# header\r\n\r\n" + "".join(
+        f"  {line} \t\r\n" + ("   # note\r\n\r\n" if n % 2 else "")
+        for n, line in enumerate(lines))
+    assert gt.Portrait.from_text(text) == p
+    assert gt.Portrait.from_text(text.replace("\r\n", "\n")) == p
+
+
+@pytest.mark.parametrize("text,line", [
+    ("1\n02\n", "02"),
+    ("1\n0 1\n", "0 1"),
+    ("1\n0\u00e91\n", "0\u00e91"),
+    ("# ok\n1\n01\n0110\n  0101010x \n01\n", "0101010x"),
+    ("1\n2\n0a\n", "2"),
+])
+def test_portrait_from_text_names_the_first_invalid_line(text, line):
+    with pytest.raises(ValueError, match=re.escape(f"invalid portrait line {line!r}")):
+        gt.Portrait.from_text(text)
+
+
+@pytest.mark.parametrize("level", [0, 1, 3])
+@pytest.mark.parametrize("value", [2, 255])
+def test_portrait_names_the_level_of_a_non_bit_uint8_entry(level, value):
+    rows = [np.zeros(1 << n, dtype=np.uint8) for n in range(4)]
+    rows[level][-1] = value
+    with pytest.raises(ValueError, match=f"^level {level} contains a non-bit entry$"):
+        gt.Portrait(rows)
+
+
+def test_portrait_accepts_bool_rows():
+    rows = [np.array([True]), np.array([False, True]), np.array([True, True, False, False])]
+    p = gt.Portrait(rows)
+    assert p.bits.dtype == np.uint8
+    assert p.levels == ((1,), (0, 1), (1, 1, 0, 0))
 
 
 def test_portrait_bit_and_child():
