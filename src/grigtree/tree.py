@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
@@ -224,17 +225,17 @@ def _table_rows(roots, depth: int) -> Iterator[np.ndarray]:
     intern(roots, root_ids)
     kids: list[int] = []  # children of states[:len(kids) // 2], two ids each
     act = np.array(acts, dtype=np.uint8)
-    child = np.zeros((0, 2), dtype=np.int32)
-    ids = np.array(root_ids, dtype=np.int32)[:, None]
+    child = np.zeros((0, 2), dtype=np.intp)
+    ids = np.array(root_ids, dtype=np.intp)[:, None]
     for n in range(depth):
         if n:
             if len(kids) < 2 * len(states):
                 for state in states[len(kids) // 2:]:
                     intern(state._children(), kids)
                 act = np.array(acts, dtype=np.uint8)
-                child = np.array(kids, dtype=np.int32).reshape(-1, 2)
-            ids = child[ids].reshape(len(ids), 1 << n)
-        yield act[ids]
+                child = np.array(kids, dtype=np.intp).reshape(-1, 2)
+            ids = child.take(ids, axis=0).reshape(len(ids), 1 << n)
+        yield act.take(ids)
 
 
 def _rows_below(bits: np.ndarray, v: int, depth: int) -> Iterator[np.ndarray]:
@@ -260,10 +261,11 @@ class Portrait:
             if row.shape != (1 << i,):
                 raise ValueError(f"level {i} must hold {1 << i} bits, got {row.size}")
         bits = np.concatenate([np.zeros(0, dtype=np.uint8), *rows])
-        bad = np.flatnonzero((bits != 0) & (bits != 1))
-        if bad.size:  # vertex index v lies on level (v + 1).bit_length() - 1
-            raise ValueError(f"level {int(bad[0] + 1).bit_length() - 1} contains a non-bit entry")
-        bits = bits.astype(np.uint8, copy=False)
+        if bits.dtype != np.uint8 or bits.max(initial=0) > 1:  # uint8 rows: one pass
+            bad = np.flatnonzero((bits != 0) & (bits != 1))
+            if bad.size:  # vertex index v lies on level (v + 1).bit_length() - 1
+                raise ValueError(f"level {int(bad[0] + 1).bit_length() - 1} contains a non-bit entry")
+            bits = bits.astype(np.uint8)
         bits.flags.writeable = False
         object.__setattr__(self, "bits", bits)
 
@@ -317,15 +319,19 @@ class Portrait:
 
     @classmethod
     def from_text(cls, text: str) -> "Portrait":
-        rows = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not set(line) <= {"0", "1"}:
-                raise ValueError(f"invalid portrait line {line!r}")
-            rows.append(np.frombuffer(line.encode("ascii"), dtype=np.uint8) - 48)
-        return cls(rows)
+        """Parse `to_text` output: one line of 0/1 characters per level,
+        with surrounding whitespace, blank lines and '#' comment lines
+        ignored.  The kept lines are joined and checked in one pass over
+        their bytes (a non-ASCII character encodes as '?'), and the levels
+        are slices of that one array.  A line holding any other character
+        raises ValueError naming the first such line."""
+        lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+        codes = np.frombuffer("".join(lines).encode("ascii", "replace"), dtype=np.uint8) - 48
+        if codes.max(initial=0) > 1:
+            bad = next(line for line in lines if not set(line) <= {"0", "1"})
+            raise ValueError(f"invalid portrait line {bad!r}")
+        ends = list(accumulate(map(len, lines)))
+        return cls(codes[end - len(line):end] for line, end in zip(lines, ends))
 
 
 class TruncationAutomorphism(Automorphism):

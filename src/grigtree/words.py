@@ -78,7 +78,11 @@ def reduce(word: str) -> str:
     only one nested layer of a word like w reduce(w)^-1); a longer one
     goes through its a-separated segments in linear time.  Idempotent.
     """
-    check_word(word)
+    return _reduce(check_word(word))
+
+
+def _reduce(word: str) -> str:
+    """`reduce` of a word known to be valid."""
     word = word.replace("aa", "")
     if len(word) >= SEGMENT_REDUCE_MIN:
         return _reduce_segments(word)
@@ -126,6 +130,11 @@ def decompose_word(word: str) -> tuple[str, str, int]:
     invalid = word.translate(_DROP_LETTERS)
     if invalid:
         raise ValueError(f"invalid letter {invalid[0]!r} in word")
+    return _decompose(word)
+
+
+def _decompose(word: str) -> tuple[str, str, int]:
+    """`decompose_word` of a word known to be valid."""
     segments = word.split("a")
     if len(segments) > 1:
         segments[1::2] = [s.upper() for s in segments[1::2]]
@@ -147,7 +156,7 @@ def section_words(word: str, depth: int) -> dict[str, str]:
     for _ in range(depth):
         nxt = []
         for u, w in frontier:
-            w0, w1, _ = decompose_word(w)
+            w0, w1, _ = _decompose(w)
             out[u + "0"] = w0
             out[u + "1"] = w1
             nxt.append((u + "0", w0))
@@ -231,7 +240,8 @@ class WordAutomorphism(Automorphism):
     """Automorphism backed by a generator word; sections are computed by
     wreath decomposition of the word and then reduced.  The group is
     contracting, so reduced sections shrink quickly with depth (raw ones
-    never grow, but barely shrink)."""
+    never grow, but barely shrink).  The word is checked once, here:
+    sections and inverses are valid by construction and skip the check."""
 
     __slots__ = ("word",)
 
@@ -243,15 +253,15 @@ class WordAutomorphism(Automorphism):
         return self.word.count("a") & 1
 
     def _children(self) -> tuple[Automorphism, Automorphism]:
-        w0, w1, _ = decompose_word(self.word)
-        return word_element(reduce(w0)), word_element(reduce(w1))
+        w0, w1, _ = _decompose(self.word)
+        return _word_element(_reduce(w0)), _word_element(_reduce(w1))
 
     def _state_key(self) -> object:
         return self.word
 
     def _invert(self) -> Automorphism:
         # every generator is an involution, so the inverse word is the reversal
-        return WordAutomorphism(self.word[::-1])
+        return _word_element(self.word[::-1])
 
     def __repr__(self) -> str:
         return f"WordAutomorphism({self.word!r})"
@@ -259,6 +269,13 @@ class WordAutomorphism(Automorphism):
 
 def word_element(word: str) -> Automorphism:
     """The tree automorphism represented by a word over {a,b,c,d}."""
+    return _word_element(check_word(word))
+
+
+def _word_element(word: str) -> Automorphism:
+    """`word_element` of a word known to be valid."""
     if not word:
         return IDENTITY
-    return WordAutomorphism(word)
+    g = WordAutomorphism.__new__(WordAutomorphism)
+    g.word = word
+    return g

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import grigtree as gt
 from grigtree import IDENTITY
 from grigtree.tree import _table_rows, vertex_index, vertex_label
-from grigtree.words import decompose_word
+from grigtree.words import _decompose
 
 words = st.text(alphabet="abcd", max_size=24)
 vertices = st.text(alphabet="01", max_size=6)
@@ -381,9 +381,9 @@ def test_each_word_is_decomposed_once(monkeypatch):
 
     def counting(word):
         decomposed.append(word)
-        return decompose_word(word)
+        return _decompose(word)
 
-    monkeypatch.setattr("grigtree.words.decompose_word", counting)
+    monkeypatch.setattr("grigtree.words._decompose", counting)
     gt.portrait_of(gt.word_element("abacabadacabdabcadabac"), 8)
     assert decomposed and len(decomposed) == len(set(decomposed))
     decomposed.clear()
@@ -408,6 +408,17 @@ def test_many_roots_mix_element_families():
     rows = list(_table_rows(roots, 7))
     for i, g in enumerate(roots):
         assert gt.Portrait(row[i] for row in rows) == gt.portrait_of(g, 7)
+
+
+def test_many_roots_of_every_finite_state_family_match_section_walks():
+    f, grig = gt.f_automaton(), gt.grigorchuk_automaton()
+    roots = [gt.element_of(f, "f"), gt.word_element("abacabad"), gt.kbar_element("abab"),
+             gt.element_of(grig, "d"), gt.kbar_element(gt.k_word(["b", "cab"])),
+             gt.word_element("dacab" * 7), *(gt.element_of(f, s) for s in f.states)]
+    rows = list(_table_rows(roots, 12))
+    assert [row.shape for row in rows] == [(len(roots), 1 << n) for n in range(12)]
+    for i, g in enumerate(roots):
+        assert gt.Portrait(row[i] for row in rows) == portrait_by_section_walk(g, 12)
 
 
 def _mealy_element(data):
