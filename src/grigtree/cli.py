@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import sys
 
 from .automata import (activity_profile, element_of, f_automaton,
@@ -289,12 +288,6 @@ def main(argv=None) -> int:
     except (DesignatorError, ValueError, RecursionError, MemoryError, OSError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
-
-
-# What importing the package made lives as long as the process: move it
-# out of the collector's generations (an O(1) call), so that the first
-# young-generation collection does not walk it inside some command.
-gc.freeze()
 
 
 if __name__ == "__main__":

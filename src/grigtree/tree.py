@@ -34,10 +34,12 @@ vertex, in one of three ways:
   states, kbar and scattered elements) is finite-state, so its portrait
   repeats a few states on every level.  A state table that lives for
   one call interns each state once under its `_state_key()`, expands it
-  once (both children together) into an int32 child array of shape
-  (states, 2), and emits level n as act[ids] before stepping down with
-  ids = child[ids].  One table can serve many roots at once, a row of
-  ids per root (`_table_rows`); a portrait is the one-root case.
+  once (both children together) into an intp child array of shape
+  (states, 2), and emits level n as act.take(ids) before stepping down
+  with ids = child.take(ids, axis=0), both gathers on intp ids (numpy's
+  index type, so no index conversion per level).  One table can serve
+  many roots at once, a row of ids per root (`_table_rows`); a portrait
+  is the one-root case.
 """
 
 from __future__ import annotations
@@ -330,7 +332,7 @@ class Portrait:
         if codes.max(initial=0) > 1:
             bad = next(line for line in lines if not set(line) <= {"0", "1"})
             raise ValueError(f"invalid portrait line {bad!r}")
-        ends = list(accumulate(map(len, lines)))
+        ends = accumulate(map(len, lines))
         return cls(codes[end - len(line):end] for line, end in zip(lines, ends))
 
 

@@ -241,7 +241,7 @@ class WordAutomorphism(Automorphism):
     wreath decomposition of the word and then reduced.  The group is
     contracting, so reduced sections shrink quickly with depth (raw ones
     never grow, but barely shrink).  The word is checked once, here:
-    sections and inverses are valid by construction and skip the check."""
+    sections are valid by construction and skip the check."""
 
     __slots__ = ("word",)
 
@@ -261,7 +261,7 @@ class WordAutomorphism(Automorphism):
 
     def _invert(self) -> Automorphism:
         # every generator is an involution, so the inverse word is the reversal
-        return _word_element(self.word[::-1])
+        return WordAutomorphism(self.word[::-1])
 
     def __repr__(self) -> str:
         return f"WordAutomorphism({self.word!r})"
