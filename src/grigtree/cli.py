@@ -202,87 +202,89 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _large_flag(p: argparse.ArgumentParser,
-                what: str = f"portraits deeper than {MAX_DEPTH} levels") -> None:
-    p.add_argument("--large", action="store_true", help=f"allow {what}")
+def _arg(*flags, **options):
+    return flags, options
+
+
+def _large(what: str = f"portraits deeper than {MAX_DEPTH} levels"):
+    return _arg("--large", action="store_true", help=f"allow {what}")
+
+
+_DEPTH = _arg("--depth", type=int, required=True)
+
+#: name: (help, handler, arguments as (flags, add_argument options)).
+COMMANDS = {
+    "reduce": ("reduce a generator word", cmd_reduce, [_arg("word")]),
+    "decompose": ("section words of a generator word", cmd_decompose, [
+        _arg("word"),
+        _arg("--depth", type=int, default=None,
+             help="print raw section words for all vertices up to this depth"),
+        _large(f"--depth beyond {MAX_SECTION_DEPTH}")]),
+    "act": ("image of a vertex under an element", cmd_act, [
+        _arg("elem"), _arg("vertex", help="0/1 string, '-' for the root")]),
+    "portrait": ("print a depth-d portrait", cmd_portrait, [
+        _arg("elem"), _DEPTH, _arg("--format", choices=("text", "dot"), default="text"),
+        _large()]),
+    "check-closure": ("finite-depth closure membership verdict", cmd_check_closure,
+                      [_arg("elem"), _DEPTH, _large()]),
+    "enumerate": ("BFS the group modulo the level-n stabilizer", cmd_enumerate, [
+        _arg("--level", type=int, required=True),
+        _arg("--out", help="write the portrait-key cache to this file"),
+        _large("the 4.2M-element level-5 enumeration")]),
+    "hausdorff": ("free-bit counts and dimension estimates per level", cmd_hausdorff,
+                  [_arg("--max-level", type=int, required=True)]),
+    "sample": ("sample a closure-element portrait", cmd_sample,
+               [_arg("--seed", type=int, default=0), _DEPTH, _large()]),
+    "bounded": ("activity profile and boundedness", cmd_bounded,
+                [_arg("elem"), _arg("--levels", type=int, default=8), _large()]),
+    "verify": ("sample random words against the window constraints", cmd_verify, [
+        _arg("--samples", type=int, default=1000),
+        _arg("--max-len", type=int, default=100),
+        _arg("--seed", type=int, default=0)]),
+}
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """A parser that raises its argument errors instead of reporting them."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
 
 
 @functools.lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and reused by every
-    main call."""
-    parser = argparse.ArgumentParser(
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser for every command, or for the named one only,
+    built once per process and reused by every main call.  A one-command
+    parser raises its argument errors, so that the full parser, whose
+    usage lists every command, reports them."""
+    parser = (argparse.ArgumentParser if command is None else _OneCommandParser)(
         prog="grigtree",
         description="Exact computation with binary-tree automorphisms and "
                     "the closure of the Grigorchuk group.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("reduce", help="reduce a generator word")
-    p.add_argument("word")
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("decompose", help="section words of a generator word")
-    p.add_argument("word")
-    p.add_argument("--depth", type=int, default=None,
-                   help="print raw section words for all vertices up to this depth")
-    _large_flag(p, f"--depth beyond {MAX_SECTION_DEPTH}")
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("act", help="image of a vertex under an element")
-    p.add_argument("elem")
-    p.add_argument("vertex", help="0/1 string, '-' for the root")
-    p.set_defaults(func=cmd_act)
-
-    p = sub.add_parser("portrait", help="print a depth-d portrait")
-    p.add_argument("elem")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--format", choices=("text", "dot"), default="text")
-    _large_flag(p)
-    p.set_defaults(func=cmd_portrait)
-
-    p = sub.add_parser("check-closure",
-                       help="finite-depth closure membership verdict")
-    p.add_argument("elem")
-    p.add_argument("--depth", type=int, required=True)
-    _large_flag(p)
-    p.set_defaults(func=cmd_check_closure)
-
-    p = sub.add_parser("enumerate",
-                       help="BFS the group modulo the level-n stabilizer")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--out", help="write the portrait-key cache to this file")
-    _large_flag(p, "the 4.2M-element level-5 enumeration")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("hausdorff",
-                       help="free-bit counts and dimension estimates per level")
-    p.add_argument("--max-level", type=int, required=True)
-    p.set_defaults(func=cmd_hausdorff)
-
-    p = sub.add_parser("sample", help="sample a closure-element portrait")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--depth", type=int, required=True)
-    _large_flag(p)
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("bounded", help="activity profile and boundedness")
-    p.add_argument("elem")
-    p.add_argument("--levels", type=int, default=8)
-    _large_flag(p)
-    p.set_defaults(func=cmd_bounded)
-
-    p = sub.add_parser("verify",
-                       help="sample random words against the window constraints")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--max-len", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
-
+    for name in COMMANDS if command is None else [command]:
+        help_, func, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=func)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with the named command's parser alone; help without a
+    command, an unknown command and any argument error go to the full
+    parser, so every message is the full parser's."""
+    if argv and argv[0] in COMMANDS:
+        try:
+            return build_parser(argv[0]).parse_args(argv)
+        except argparse.ArgumentError:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (DesignatorError, ValueError, RecursionError, MemoryError, OSError) as exc:

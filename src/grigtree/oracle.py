@@ -12,19 +12,19 @@ A coset of the level-n stabilizer is named by its portrait key
 (bit-packed as in Portrait.pack, at most 31 bits), and both
 enumerations work on uint32 arrays of keys.  The BFS multiplies on the
 left: act(s*g, u) = act(s, u) xor act(g, u^s), so key(s*g) is key(g)
-with its bits permuted by s acting on the vertices, xor key(s).  Each
-permutation is evaluated with one 256-entry table per key byte, derived
-from the tree action of the generator itself.
+with its bits permuted by s acting on the vertices, xor key(s).  A
+product is two gathers, one from a 65,536-entry table per 16-bit half
+of the key, derived from the tree action of the generator itself.
 
-Each BFS layer is checked against the two layers before it, in the
-same sort that dedupes its candidates: the generators are involutions,
-so the Cayley graph is undirected and a neighbour of layer L lies in
-layer L-1, L or L+1.  Only reduced words are expanded (after a, one of
-b, c, d; after b, c or d, only a): any other product is the parent
-again, since s*s = 1, or a neighbour of the parent, since bcd = 1, so it
-is never new.  Both steps use only the group relations, never the
-window constraints.  Sets are deduplicated by sorting and comparing
-neighbours, and membership is a binary search.
+The BFS checks each layer only against itself, in the same sort that
+dedupes its candidates.  The generators are involutions, so a neighbour
+of layer L lies in layer L-1, L or L+1, and the generators s with s*g
+in layer L-1 are exactly those of the candidates that reached g.  g is
+never multiplied by them, nor by b, c or d once one of those is among
+them: as bcd = 1, that product is a neighbour of layer L-1.  So no
+candidate lies in layer L-1, and no coset is lost.  This uses only the
+group relations, never the window constraints.  Sets are deduplicated
+by sorting and comparing neighbours, and membership is a binary search.
 
 The random-word check builds the depth-8 rows of a chunk of sampled
 words from one state table, so sections the words share are expanded
@@ -155,39 +155,63 @@ class QuotientSet(PortraitSet):
         return "".join(letters)
 
 
-def _left_multipliers(n: int) -> list[tuple[np.ndarray, int]]:
-    """For each generator s, the byte tables of the bit permutation P_s
-    with key(s*g) = P_s(key(g)) xor key(s), and key(s) itself.
+def _left_tables(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each generator s, the tables (low, high) with
+    key(s*g) = low[k & 0xFFFF] ^ high[k >> 16] for k = key(g).
 
-    Bit u of P_s(k) is bit u^s of k.  tables[j][v] holds the bits that
-    byte j of k, of value v, contributes to P_s(k).  Everything comes
-    from the tree action of the generator element.
+    Bit u of key(s*g) is bit u^s of k xor bit u of key(s), so each bit
+    of k moves to one bit of the product: a table over a 16-bit half of
+    k is built by doubling, one bit of the half at a time, and key(s) is
+    folded into the low table.  Everything comes from the tree action of
+    the generator element.
     """
-    vertices = [vertex_label(v) for v in range((1 << n) - 1)]
-    byte = np.arange(256, dtype=np.uint32)
-    multipliers = []
+    bits = (1 << n) - 1
+    tables = []
     for letter in ALPHABET:
         s = word_element(letter)
-        tables = np.zeros(((len(vertices) + 7) // 8, 256), dtype=np.uint32)
-        for p, u in enumerate(vertices):
-            src = vertex_index(apply(s, u))
-            tables[src >> 3] |= ((byte >> (src & 7)) & 1) << p
-        multipliers.append((tables, portrait_of(s, n).pack()))
-    return multipliers
+        moved = [0] * bits  # moved[j]: the product bit that bit j of k sets
+        for p in range(bits):
+            moved[vertex_index(apply(s, vertex_label(p)))] = 1 << p
+        halves = []
+        for half in (moved[:16], moved[16:]):
+            table = np.zeros(1, dtype=np.uint32)
+            for bit in half:
+                table = np.concatenate((table, table ^ np.uint32(bit)))
+            halves.append(table)
+        halves[0] ^= np.uint32(portrait_of(s, n).pack())
+        tables.append(tuple(halves))
+    return tables
 
 
-def _key_bytes(keys: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(keys, dtype="<u4").view(np.uint8).reshape(-1, 4)
+def _key_halves(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The low and high 16-bit halves of uint32 keys, as gather indices."""
+    return (np.bitwise_and(keys, 0xFFFF, dtype=np.intp),
+            np.right_shift(keys, 16, dtype=np.intp))
 
 
-def _left_product(key_bytes: np.ndarray, multiplier) -> np.ndarray:
-    """key(s*g) for one generator s, given the key bytes of each g."""
-    tables, key_s = multiplier
-    out = tables[0][key_bytes[:, 0]]
-    for j in range(1, tables.shape[0]):
-        out |= tables[j][key_bytes[:, j]]
-    out ^= np.uint32(key_s)
-    return out
+def _left_product(halves, table, out=None) -> np.ndarray:
+    """key(s*g) for one generator s, given the key halves of each g."""
+    return np.bitwise_xor(table[0].take(halves[0]), table[1].take(halves[1]), out=out)
+
+
+#: The least size of a BFS buffer.  glibc maps every block this large
+#: (its dynamic mmap threshold stops at 32 MiB), so a buffer never sits in
+#: the heap, whatever ran before, and goes back to the system when freed;
+#: pages never written take no memory.
+BUFFER_BYTES = 32 << 20
+
+
+def _grow(buffer: np.ndarray, size: int, keep: int = 0) -> np.ndarray:
+    """buffer if it holds size entries, else a larger one that starts with buffer[:keep]."""
+    if buffer.size >= size:
+        return buffer
+    grown = np.empty(max(2 * size, BUFFER_BYTES // buffer.itemsize), dtype=buffer.dtype)
+    grown[:keep] = buffer[:keep]
+    return grown
+
+
+#: A candidate's tag is (generator << SLOT_BITS | index of its parent) + 1.
+SLOT_BITS = 29
 
 
 def enumerate_quotient(n: int) -> QuotientSet:
@@ -195,67 +219,69 @@ def enumerate_quotient(n: int) -> QuotientSet:
     from the identity and left-multiplying by the four generators;
     returns every reachable coset with a shortest witness word.
 
-    The generators are involutions, so a neighbour of layer L lies in
-    layer L-1, L or L+1, and each layer is checked against the two
-    before it only.  Only reduced words are expanded: a coset reached
-    by a is multiplied by b, c and d, one reached by b, c or d by a
-    only.  A dropped product is the parent itself (s*s*g = g), or, as
-    bcd = 1 and b, c, d commute, the parent times the third of b, c, d;
-    either way it lies in layer L-1 or L, so dropping it loses no coset
-    and changes no first candidate.
+    A neighbour of layer L lies in layer L-1, L or L+1, and R(g), the
+    generators s with s*g in layer L-1, are those of the candidates that
+    reached g.  g is multiplied by a only if a is not in R(g), and by b,
+    c and d only if R(g) holds none of them.  So no product lies in
+    layer L-1.  A dropped b, c or d product t*g is (t*u)*(u*g) for a u
+    of b, c, d in R(g), where t*u is 1 or one of b, c, d (bcd = 1), so
+    it lies in layer L-2, L-1 or L: no coset is lost, and no first
+    candidate changes.
     """
     _check_level(n)
-    multipliers = _left_multipliers(n)
-    previous = np.zeros(0, dtype=np.uint32)
-    frontier = np.zeros(1, dtype=np.uint32)
-    reached = np.zeros(1, dtype=np.uint8)  # the generator each coset was reached by
-    disc_keys = [frontier]
-    parents = [np.full(1, -1, dtype=np.int32)]
-    gens = [reached]
-    start = 0
-    while frontier.size:
-        size = frontier.size
-        # (frontier slots, generators to multiply them by); a is
-        # generator 0, and the identity is multiplied by all four
-        if start == 0:
-            expansions = [(np.zeros(1, dtype=np.int64), (0, 1, 2, 3))]
-        else:
-            expansions = [(np.flatnonzero(reached), (0,)),
-                          (np.flatnonzero(reached == 0), (1, 2, 3))]
-        # sort (key, tag) pairs: old keys carry tag 0, and candidate
-        # c = gen*size + frontier slot carries c + 1; a run of equal keys
-        # is fresh unless it starts with tag 0, and then its first tag is
-        # its first candidate.  Each pair is one little-endian uint64,
-        # key in the high half.
-        old = previous.size + size
-        tagged = np.empty(old + sum(slots.size * len(g) for slots, g in expansions),
-                          dtype="<u8")
-        pairs = tagged.view("<u4").reshape(-1, 2)
-        pairs[:previous.size, 1] = previous
-        pairs[previous.size:old, 1] = frontier
-        pairs[:old, 0] = 0
-        at = old
+    tables = _left_tables(n)
+    # cosets in discovery order; the frontier is [start, end)
+    disc_keys = np.zeros(1, dtype=np.uint32)
+    parents = np.full(1, -1, dtype=np.int32)
+    gens = np.zeros(1, dtype=np.uint8)
+    # (frontier slots, generators to multiply them by); a is generator 0,
+    # and the identity is multiplied by all four
+    expansions = [(np.zeros(1, dtype=np.intp), (0, 1, 2, 3))]
+    tagged, first = np.empty(0, dtype="<u8"), np.empty(0, dtype=bool)
+    start, end = 0, 1
+    while end > start:
+        frontier, size = disc_keys[start:end], end - start
+        # sort (key, tag) pairs: frontier keys carry tag 0, candidates
+        # their tag; a run of equal keys is fresh unless it starts with
+        # tag 0, and then its first tag is its first candidate.  Each pair
+        # is one little-endian uint64, key in the high half.
+        total = size + sum(slots.size * len(g) for slots, g in expansions)
+        tagged, first = _grow(tagged, total), _grow(first, total + 1)
+        pairs = tagged[:total].view("<u4").reshape(-1, 2)
+        pairs[:size, 1] = frontier
+        pairs[:size, 0] = 0
+        at = size
         for slots, generators in expansions:
-            key_bytes = _key_bytes(frontier[slots])
+            k = slots.size
+            halves = _key_halves(frontier.take(slots))
             for g in generators:
-                pairs[at:at + slots.size, 1] = _left_product(key_bytes, multipliers[g])
-                pairs[at:at + slots.size, 0] = slots + (g * size + 1)
-                at += slots.size
-        tagged.sort()
-        fresh = _first_of_runs(pairs[:, 1])
-        fresh &= pairs[:, 0] != 0
-        chosen = tagged[fresh].view("<u4").reshape(-1, 2)
-        previous, frontier = frontier, chosen[:, 1].copy()
-        cand = chosen[:, 0] - 1
-        reached = (cand // size).astype(np.uint8)
-        disc_keys.append(frontier)
-        parents.append((start + cand % size).astype(np.int32))
-        gens.append(reached)
-        start += size
-        if start > 1 << ((1 << n) - 1):  # more cosets than keys: a key came back
+                _left_product(halves, tables[g], out=pairs[at:at + k, 1])
+                np.add(slots, (g << SLOT_BITS) + start + 1, out=pairs[at:at + k, 0],
+                       casting="unsafe")
+                at += k
+        tagged[:total].sort()
+        # first[i]: entry i starts a run; a fresh run of one candidate
+        # tells R(g) = {its generator}
+        first[0] = first[total] = True
+        np.not_equal(pairs[1:, 1], pairs[:-1, 1], out=first[1:total])
+        fresh = np.flatnonzero(np.logical_and(first[:total], pairs[:, 0]))
+        new = end + fresh.size
+        if new > 1 << ((1 << n) - 1):  # more cosets than keys: a key came back
             raise RuntimeError("the BFS discovered a coset twice")
-    return QuotientSet(n, np.concatenate(disc_keys),
-                       np.concatenate(parents), np.concatenate(gens))
+        disc_keys = _grow(disc_keys, new, end)
+        parents = _grow(parents, new, end)
+        gens = _grow(gens, new, end)
+        chosen = tagged.take(fresh).view("<u4").reshape(-1, 2)
+        disc_keys[end:new] = chosen[:, 1]
+        cand = chosen[:, 0] - 1
+        np.bitwise_and(cand, (1 << SLOT_BITS) - 1, out=parents[end:new], casting="unsafe")
+        np.right_shift(cand, SLOT_BITS, out=gens[end:new], casting="unsafe")
+        by_a = gens[end:new] == 0
+        expansions = [(np.flatnonzero(~by_a), (0,)),
+                      (np.flatnonzero(by_a & first[1:].take(fresh)), (1, 2, 3))]
+        start, end = end, new
+    del tagged, first  # unmapped before QuotientSet sorts a copy of the keys
+    return QuotientSet(n, disc_keys[:end], parents[:end], gens[:end])
 
 
 def enumerate_admissible_decorations(n: int) -> PortraitSet:
@@ -351,7 +377,7 @@ def save_portrait_set(path, pset: PortraitSet) -> None:
     dtype = _key_dtype(pset.level)
     with open(path, "wb") as fh:
         fh.write(struct.pack("<II", pset.level, len(pset)))
-        fh.write(np.ascontiguousarray(pset.keys.astype(dtype)).tobytes())
+        fh.write(memoryview(np.ascontiguousarray(pset.keys.astype(dtype, copy=False))))
 
 
 def load_portrait_set(path) -> PortraitSet:

@@ -5,6 +5,7 @@ the terminal (bypassing capture) and then asserts; a line only reads
 PASS when every assertion in its block held.
 """
 
+import hashlib
 import random
 import resource
 import time
@@ -153,6 +154,12 @@ def test_criterion_08_dimension_convergence(criterion, quotient4):
         assert peak_mib < 1024.0
         assert np.array_equal(quotient5.keys,
                               gt.enumerate_admissible_decorations(5).keys)
+        # the discovery arrays (hence every witness word) are pinned
+        digest = hashlib.sha256()
+        for array in (quotient5._disc_keys, quotient5._parents, quotient5._gens):
+            digest.update(np.ascontiguousarray(array).tobytes())
+        assert digest.hexdigest() == \
+            "f2e741a34daa814ed87463b0b13465a30cdbbae67e51d3a8abbb6a21a0b9579f"
         level5 = (f"level 5: {len(quotient5)} cosets in {elapsed:.1f}s, "
                   f"peak RSS {peak_mib:.0f} MiB, equal to the admissible set")
         info["detail"] = (f"estimate(4)=4/5, estimate(20)={est20:.6f}, "

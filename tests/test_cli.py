@@ -4,7 +4,7 @@ import time
 import pytest
 
 import grigtree as gt
-from grigtree.cli import build_parser, main
+from grigtree.cli import COMMANDS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -322,6 +322,37 @@ def test_main_reuses_one_parser(capsys):
     for argv, outcome in zip(commands, reused):
         build_parser.cache_clear()
         assert _outcome(capsys, argv) == outcome
+
+
+def _full_parser_outcome(capsys, argv):
+    """(exit code, stdout, stderr) of the full parser on argv, which exits."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h", "reduce"], ["frobnicate"], ["--bogus"], ["re"],
+    *[[name, "--help"] for name in COMMANDS],
+    ["reduce"], ["reduce", "ab", "--bogus"], ["reduce", "a", "b"], ["act", "word:a"],
+    ["enumerate", "--level", "x"], ["enumerate"], ["sample", "--seed"],
+    ["portrait", "word:a", "--depth", "3", "--format", "svg"],
+])
+def test_help_and_usage_errors_are_the_full_parsers(capsys, argv):
+    assert _outcome(capsys, argv) == _full_parser_outcome(capsys, argv)
+
+
+def test_main_builds_only_the_named_commands_parser(capsys):
+    build_parser.cache_clear()
+    try:
+        assert run(capsys, "reduce", "aabd") == (0, "c\n", "")
+        assert run(capsys, "hausdorff", "--max-level", "1")[0] == 0
+        assert build_parser.cache_info().currsize == 2  # "reduce" and "hausdorff"
+        _outcome(capsys, ["reduce"])  # a usage error: the full parser reports it
+        assert build_parser.cache_info().currsize == 3
+    finally:
+        build_parser.cache_clear()
 
 
 @pytest.mark.parametrize("argv", [

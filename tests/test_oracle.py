@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import grigtree as gt
 from grigtree import Portrait, TruncationAutomorphism
-from grigtree.oracle import QuotientSet, _key_bytes, _left_multipliers, _left_product
+from grigtree.oracle import QuotientSet, _key_halves, _left_product, _left_tables
 
 
 def key_width_bytes(level):
@@ -97,12 +97,12 @@ def test_admissible_extension_matches_exhaustive_filter(n):
     assert gt.enumerate_admissible_decorations(n).keys.tolist() == exhaustive_admissible(n)
 
 
-MULTIPLIERS = {n: _left_multipliers(n) for n in (3, 4, 5)}
+TABLES = {n: _left_tables(n) for n in (3, 4, 5)}
 
 
-def _left_products(keys, multipliers):
+def _left_products(keys, tables):
     """key(s*g) for every generator s (in ALPHABET order) and every key of g."""
-    return [_left_product(_key_bytes(keys), m) for m in multipliers]
+    return [_left_product(_key_halves(keys), t) for t in tables]
 
 
 @settings(max_examples=60, deadline=None)
@@ -111,7 +111,7 @@ def _left_products(keys, multipliers):
         st.integers(0, (1 << ((1 << n) - 1)) - 1), min_size=1, max_size=4))))
 def test_left_products_match_tree_composition(case):
     n, keys = case
-    products = _left_products(np.array(keys, dtype=np.uint32), MULTIPLIERS[n])
+    products = _left_products(np.array(keys, dtype=np.uint32), TABLES[n])
     for letter, out in zip(gt.ALPHABET, products):
         s = gt.word_element(letter)
         for key, got in zip(keys, out.tolist()):
@@ -124,7 +124,7 @@ def reference_quotient(n):
     by all four generators, and the candidates are checked against every
     coset visited so far.  Returns (sorted keys, discovery keys, parents,
     generators)."""
-    multipliers = _left_multipliers(n)
+    tables = _left_tables(n)
     visited = np.zeros(1, dtype=np.uint32)
     disc_keys = [visited]
     parents = [np.full(1, -1, dtype=np.int32)]
@@ -132,7 +132,7 @@ def reference_quotient(n):
     frontier, start = visited, 0
     while frontier.size:
         size = frontier.size
-        products = np.concatenate(_left_products(frontier, multipliers))
+        products = np.concatenate(_left_products(frontier, tables))
         # a stable sort puts the first candidate of each key first
         cand = np.argsort(products, kind="stable")
         keys = products[cand]
@@ -159,6 +159,49 @@ def test_layer_local_bfs_matches_the_full_visited_bfs(n, quotient4):
         assert np.array_equal(mine, ref)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_bfs_from_small_buffers_matches_the_full_visited_bfs(n, monkeypatch):
+    # buffers start at BUFFER_BYTES: this small, they grow with the layers
+    monkeypatch.setattr("grigtree.oracle.BUFFER_BYTES", 8)
+    q = gt.enumerate_quotient(n)
+    for mine, ref in zip((q.keys, q._disc_keys, q._parents, q._gens), reference_quotient(n)):
+        assert np.array_equal(mine, ref)
+
+
+def _layers(n):
+    """The BFS layers of the level-n quotient, as sets of keys, from the
+    parent chains of reference_quotient."""
+    _, disc_keys, parents, _ = reference_quotient(n)
+    depth = np.zeros(disc_keys.size, dtype=int)
+    for i in range(1, disc_keys.size):  # a parent is discovered before its child
+        depth[i] = depth[parents[i]] + 1
+    return [set(disc_keys[depth == d].tolist()) for d in range(depth.max() + 1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_back_edge_pruning_never_returns_to_the_layer_before(n):
+    # R(g) = {s : s*g in the layer before g's}.  The BFS multiplies g by a
+    # only if a is not in R(g), and by b, c, d only if R(g) holds none of
+    # them, and it reads R(g) off the generators of the candidates that
+    # reached g.
+    tables = _left_tables(n)
+    layers = _layers(n) + [set()]
+    reached_by = {0: set()}  # key -> generators of the candidates reaching it
+    for before, layer, after in zip([set()] + layers, layers, layers[1:]):
+        keys = sorted(layer)
+        keys_array = np.array(keys, dtype=np.uint32)
+        products = [out.tolist() for out in _left_products(keys_array, tables)]
+        made = {}
+        for i, g in enumerate(keys):
+            r = {s for s in range(4) if products[s][i] in before}
+            assert r == reached_by[g]
+            for s in ([] if 0 in r else [0]) + ([] if r & {1, 2, 3} else [1, 2, 3]):
+                made.setdefault(products[s][i], set()).add(s)
+        assert not made.keys() & before  # no candidate lies in the layer before
+        assert after <= made.keys()  # and no coset is lost
+        reached_by = {key: made[key] for key in after}
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([3, 4, 5]).flatmap(
     lambda n: st.tuples(st.just(n), st.lists(
@@ -167,9 +210,9 @@ def test_generator_steps_are_involutions(case):
     # the layer-local BFS relies on s*s = 1 for every generator s
     n, keys = case
     keys = np.array(keys, dtype=np.uint32)
-    for multiplier in MULTIPLIERS[n]:
-        once = _left_products(keys, [multiplier])[0]
-        assert np.array_equal(_left_products(once, [multiplier])[0], keys)
+    for table in TABLES[n]:
+        once = _left_products(keys, [table])[0]
+        assert np.array_equal(_left_products(once, [table])[0], keys)
 
 
 def test_quotient_set_rejects_a_coset_found_twice():
