@@ -8,6 +8,10 @@ all states; built in are the five-state machines generating the
 Grigorchuk group and the closure element `f`), the self-similar
 closure elements kbar = (k, kbar), and scattered elements, with one
 symbol per proper prefix of their assigned vertices.
+
+Identity states and Sidki's boundedness criterion (every cycle of
+non-identity states is simple, disjoint from the others and reaches no
+other) are decided by one linear backward search, `_backward`.
 """
 
 from __future__ import annotations
@@ -43,22 +47,13 @@ class MealyAutomaton:
         if root not in self.transitions:
             raise ValueError(f"unknown root state {root!r}")
         self.root = root
-        self.identity_states = self._find_identity_states()
+        succ = {s: (n0, n1) for s, (_, n0, n1) in self.transitions.items()}
+        active = [s for s, (act, _, _) in self.transitions.items() if act]
+        # a state is the identity iff no active state is reachable from it
+        self.identity_states = frozenset(succ) - _backward(succ, active, lambda s: 1)
         refs = {s: IDENTITY if s in self.identity_states else s for s in self.transitions}
         self._system = RecursionSystem({name: (refs[n0], refs[n1], act)
                                         for name, (act, n0, n1) in self.transitions.items()})
-
-    def _find_identity_states(self) -> frozenset[str]:
-        # a state is trivial iff no active state is reachable from it
-        reaching = {s for s, (act, _, _) in self.transitions.items() if act}
-        changed = True
-        while changed:
-            changed = False
-            for s, (_, n0, n1) in self.transitions.items():
-                if s not in reaching and (n0 in reaching or n1 in reaching):
-                    reaching.add(s)
-                    changed = True
-        return frozenset(self.transitions) - reaching
 
     @property
     def states(self) -> tuple[str, ...]:
@@ -275,10 +270,12 @@ def scattered_element(assignments: Sequence[tuple[str, str]]) -> Automorphism:
         table[vertex] = word_element(word)
     if len(table) != len(labels):
         raise ValueError("duplicate vertex in assignments")
-    for i, u in enumerate(labels):
-        for v in labels[i + 1 :]:
-            if u.startswith(v) or v.startswith(u):
-                raise ValueError(f"vertices {u!r} and {v!r} are not independent")
+    # a proper prefix u of w is a prefix of every label sorted between them,
+    # so some prefix pair is adjacent in sorted order whenever one exists
+    labels.sort()
+    for u, v in zip(labels, labels[1:]):
+        if v.startswith(u):
+            raise ValueError(f"vertices {u!r} and {v!r} are not independent")
     prefixes = {v[:i] for v in table for i in range(len(v))}
     if not prefixes:  # nothing assigned, or only the root
         return table.get("", IDENTITY)
@@ -298,72 +295,45 @@ def activity_profile(g: Automorphism, levels: int) -> list[int]:
 
 
 def is_bounded_automaton(automaton: MealyAutomaton) -> bool:
-    """Structural boundedness of the automorphisms an automaton defines.
-
-    In the transition graph restricted to non-identity states (with edge
-    multiplicities), all states it defines are bounded iff every directed
-    cycle is vertex-disjoint from every other and no path connects two
-    distinct cycles; equivalently, every strongly connected component is
-    a lone vertex or a simple cycle, and no cyclic component reaches
-    another.
-    """
-    nontrivial = set(automaton.transitions) - set(automaton.identity_states)
+    """Structural boundedness of the automorphisms an automaton defines
+    (Sidki): in the transition graph of the non-identity states, with edge
+    multiplicities, every strongly connected component is a lone vertex or
+    a simple cycle, and no cyclic component reaches another."""
+    nontrivial = set(automaton.transitions) - automaton.identity_states
     succ = {s: [t for t in automaton.transitions[s][1:] if t in nontrivial]
             for s in nontrivial}
-    component = _strongly_connected_components(succ)
-    cyclic = set()
+    # Call a state branching if two of its edges lead to infinite paths.  The
+    # criterion fails iff a cycle reaches a branching state.  A cyclic component
+    # that is no simple cycle has a state with two edges inside it; a cycle that
+    # reaches another leaves its component at a state with an edge inside and one
+    # toward that cycle.  Conversely, if a cycle C reaches a branching b, an edge
+    # of b leads toward another component's cycle, or both lead back into C's
+    # component, which then holds b with two inner edges and is no simple cycle.
+    infinite = _infinite_paths(succ, nontrivial)
+    branching = [s for s in nontrivial if sum(t in infinite for t in succ[s]) > 1]
+    return not _infinite_paths(succ, _backward(succ, branching, lambda s: 1))
+
+
+def _infinite_paths(succ: Mapping, nodes: set) -> set:
+    """The nodes with an infinite path inside `nodes`."""
+    inner = {s: [t for t in succ[s] if t in nodes] for s in nodes}
+    return nodes - _backward(inner, [s for s in nodes if not inner[s]], lambda s: len(inner[s]))
+
+
+def _backward(succ: Mapping, seeds: Iterable, need) -> set:
+    """Grow a set backwards from `seeds` in linear time: any other node of
+    `succ` joins once need(node) of its edges, with multiplicity, lead in."""
+    pred: dict = {}
     for s, targets in succ.items():
-        internal = [t for t in targets if component[t] == component[s]]
-        if not internal:
-            continue
-        # a simple cycle has exactly one internal out-edge per state
-        if len(internal) != 1:
-            return False
-        cyclic.add(component[s])
-    for c in cyclic:
-        # states reachable from the cycle, outside it, must reach no cycle
-        members = [s for s in nontrivial if component[s] == c]
-        seen, stack = set(members), list(members)
-        while stack:
-            for t in succ[stack.pop()]:
-                if t not in seen:
-                    if component[t] in cyclic and component[t] != c:
-                        return False
-                    seen.add(t)
-                    stack.append(t)
-    return True
-
-
-def _strongly_connected_components(succ: Mapping[str, list[str]]) -> dict[str, int]:
-    """Component number of every state (iterative Tarjan)."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    component: dict[str, int] = {}
-    stack: list[str] = []
-    for root in succ:
-        if root in index:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, i = work.pop()
-            if i == 0:
-                index[v] = low[v] = len(index)
-                stack.append(v)
-            if i < len(succ[v]):
-                work.append((v, i + 1))
-                w = succ[v][i]
-                if w not in index:
-                    work.append((w, 0))
-                elif w not in component:
-                    low[v] = min(low[v], index[w])
-                continue
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    component[w] = index[v]
-                    if w == v:
-                        break
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-    return component
+        for t in targets:
+            pred.setdefault(t, []).append(s)
+    found = set(seeds)
+    left = {s: 0 if s in found else need(s) for s in succ}
+    work = list(found)
+    while work:
+        for s in pred.get(work.pop(), ()):
+            left[s] -= 1
+            if not left[s]:
+                found.add(s)
+                work.append(s)
+    return found

@@ -166,6 +166,11 @@ def cmd_enumerate(args) -> int:
 def cmd_hausdorff(args) -> int:
     if args.max_level < 1:
         raise DesignatorError("--max-level must be at least 1")
+    digits = sys.get_int_max_str_digits()  # 0: no limit
+    top = (10 ** digits).bit_length() - 1  # the last n with 2^n - 1 < 10^digits
+    if digits and args.max_level > top:
+        raise DesignatorError(f"--max-level above {top} exceeds the {digits}-digit "
+                              "limit for printing integers")
     for n in range(1, args.max_level + 1):
         free = free_bit_count(n)
         total = (1 << n) - 1

@@ -203,6 +203,9 @@ def test_scattered_element_errors():
         gt.scattered_element([("0", "abab"), ("01", "abab")])
     with pytest.raises(ValueError):
         gt.scattered_element([("0", "abab"), ("0", "abab")])
+    with pytest.raises(ValueError, match="vertices '01' and '0110' are not independent"):
+        # the prefix pair is apart in the input order, adjacent once sorted
+        gt.scattered_element([("0110", "abab"), ("1", "abab"), ("00", "abab"), ("01", "abab")])
     with pytest.raises(ValueError):
         gt.scattered_element([("2", "abab")])
     with pytest.raises(ValueError):
@@ -340,20 +343,43 @@ def test_cli_import_does_not_load_networkx():
     assert out.stdout.strip() == "False"
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 7).flatmap(lambda n: st.lists(
-    st.tuples(st.integers(0, 1), st.integers(0, n - 1), st.integers(0, n - 1)),
-    min_size=n, max_size=n)))
-def test_scc_matches_networkx(rows):
+def _automaton_rows(n):
+    # states s0..s{n-1}; about half the edges lead into the identity state e
+    target = st.one_of(st.just("e"), st.sampled_from([f"s{i}" for i in range(n)]))
+    return st.lists(st.tuples(st.integers(0, 1), target, target), min_size=n, max_size=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(_automaton_rows))
+def test_boundedness_matches_networkx(rows):
+    """identity_states and is_bounded_automaton against their docstrings."""
     nx = pytest.importorskip("networkx")
-    from grigtree.automata import _strongly_connected_components
-    succ = {f"s{i}": [f"s{n0}", f"s{n1}"] for i, (_, n0, n1) in enumerate(rows)}
-    component = _strongly_connected_components(succ)
-    graph = nx.DiGraph()
-    graph.add_nodes_from(succ)
-    graph.add_edges_from((s, t) for s, ts in succ.items() for t in ts)
-    expected = {frozenset(c) for c in nx.strongly_connected_components(graph)}
-    got = {}
-    for s, c in component.items():
-        got.setdefault(c, set()).add(s)
-    assert {frozenset(c) for c in got.values()} == expected
+    transitions = {f"s{i}": row for i, row in enumerate(rows)} | {"e": (0, "e", "e")}
+    auto = MealyAutomaton(transitions, root="s0")
+    full = nx.DiGraph((s, t) for s, (_, n0, n1) in transitions.items() for t in (n0, n1))
+    active = {s for s, (act, _, _) in transitions.items() if act}
+    identity = {s for s in transitions if not ({s} | nx.descendants(full, s)) & active}
+    assert auto.identity_states == identity
+    graph = nx.MultiDiGraph()
+    graph.add_nodes_from(set(transitions) - identity)
+    graph.add_edges_from((s, t) for s in graph for t in transitions[s][1:] if t not in identity)
+    components = list(nx.strongly_connected_components(graph))
+    # cyclic: it has an edge inside; a simple cycle: as many edges inside as states
+    inner = [graph.subgraph(c).number_of_edges() for c in components]
+    simple = all(k == 0 or k == len(c) for k, c in zip(inner, components))
+    dag = nx.condensation(nx.DiGraph(graph), components)
+    cyclic = {i for i, k in enumerate(inner) if k}
+    isolated = all(not nx.descendants(dag, i) & cyclic for i in cyclic)
+    assert gt.is_bounded_automaton(auto) == (simple and isolated)
+
+
+def test_boundedness_of_a_long_chain_is_linear():
+    n = 20000
+    text = "".join(f"s{i}: 0 s{i + 1} s{i + 1}\n" for i in range(n - 1))
+    text += f"s{n - 1}: 1 e e\ne: 0 e e\n"  # only the last state is active
+    start = time.perf_counter()
+    auto = gt.parse_automaton(text)
+    assert gt.is_bounded_automaton(auto)
+    # a fixed point that adds one state per pass takes about 37 s on this chain
+    assert time.perf_counter() - start < 1.0
+    assert auto.identity_states == {"e"}

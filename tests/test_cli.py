@@ -1,4 +1,5 @@
 import hashlib
+import sys
 import time
 
 import pytest
@@ -133,6 +134,24 @@ def test_hausdorff_table(capsys):
     assert lines[3] == "4\t12\t15\t4/5\t0.800000"
     code, _, err = run(capsys, "hausdorff", "--max-level", "0")
     assert code == 2 and err.startswith("error:")
+
+
+def test_hausdorff_refuses_levels_past_the_int_string_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        # 2^14285 - 1 has 4301 digits: refused before any line is printed
+        assert run(capsys, "hausdorff", "--max-level", "14285") == (
+            2, "", "error: --max-level above 14284 exceeds the 4300-digit "
+                   "limit for printing integers\n")
+        sys.set_int_max_str_digits(640)  # the smallest limit; 2^2126 - 1 has 640 digits
+        code, out, err = run(capsys, "hausdorff", "--max-level", "2126")
+        total = str((1 << 2126) - 1)
+        assert (code, err, len(total)) == (0, "", 640)
+        assert out.splitlines()[-1].startswith(f"2126\t{gt.free_bit_count(2126)}\t{total}\t")
+        assert run(capsys, "hausdorff", "--max-level", "2127")[:2] == (2, "")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_sample_is_deterministic(capsys):
