@@ -83,15 +83,26 @@ MAX_DEPTH = 22
 #: Deepest `decompose --depth` without --large: depth 18 prints 2^19 - 1
 #: section words (about 2 s and 160 MiB), and each level doubles both.
 MAX_SECTION_DEPTH = 18
+#: Highest `hausdorff --max-level` without --large: line n holds 2^n - 1 in
+#: decimal, so the output grows as the square of the level; level 4000
+#: prints 9.7 MB in about 0.6 s, level 8000 39 MB in 2.3 s.
+MAX_HAUSDORFF_LEVEL = 4000
+#: Most `verify` work without --large, in letters: samples x (max_len +
+#: WORD_LETTERS), as a word costs about as much as 8 letters.  At this
+#: bound, one word of up to 2,000,000 letters takes about 1.6 s, 20,000
+#: words of up to 100 about 1.5 s; the default 1000 x 100 is 20 times below.
+VERIFY_LETTERS = 2_000_000
+WORD_LETTERS = 8
+_VERIFY_WORK = f"--samples x (--max-len + {WORD_LETTERS})"
 
 
-def _require_large(args, flag: str, value: int, limit: int) -> None:
-    """Refuse 2^depth work beyond `limit` unless --large was passed (before
-    any work starts)."""
+def _require_large(args, flag: str, value: int, limit: int,
+                   why: str = "each level doubles the work") -> None:
+    """Refuse work beyond `limit` unless --large was passed (before any
+    work starts)."""
     if value > limit and not args.large:
         raise DesignatorError(
-            f"{flag} {value} is above {limit}, and each level doubles the work; "
-            f"pass --large to allow it")
+            f"{flag} {value} is above {limit}, and {why}; pass --large to allow it")
 
 
 def _print_word(word: str) -> None:
@@ -157,9 +168,9 @@ def cmd_enumerate(args) -> int:
     if args.level >= 5 and not args.large:
         raise DesignatorError("level 5 holds ~4.2M portraits; pass --large to allow it")
     qs = enumerate_quotient(args.level)
-    print(f"level={qs.level} count={len(qs)}")
-    if args.out:
+    if args.out:  # before any output, so that a failed write prints nothing
         save_portrait_set(args.out, qs)
+    print(f"level={qs.level} count={len(qs)}")
     return 0
 
 
@@ -171,6 +182,8 @@ def cmd_hausdorff(args) -> int:
     if digits and args.max_level > top:
         raise DesignatorError(f"--max-level above {top} exceeds the {digits}-digit "
                               "limit for printing integers")
+    _require_large(args, "--max-level", args.max_level, MAX_HAUSDORFF_LEVEL,
+                   "the output grows as its square")
     for n in range(1, args.max_level + 1):
         free = free_bit_count(n)
         total = (1 << n) - 1
@@ -200,6 +213,9 @@ def cmd_bounded(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples >= 0 and args.max_len >= 0:  # else verify says which is negative
+        _require_large(args, _VERIFY_WORK, args.samples * (args.max_len + WORD_LETTERS),
+                       VERIFY_LETTERS, "the time grows with it")
     report = verify_window_constraints(args.samples, args.max_len, args.seed)
     print(report.summary())
     for word in report.violations:
@@ -237,7 +253,8 @@ COMMANDS = {
         _arg("--out", help="write the portrait-key cache to this file"),
         _large("the 4.2M-element level-5 enumeration")]),
     "hausdorff": ("free-bit counts and dimension estimates per level", cmd_hausdorff,
-                  [_arg("--max-level", type=int, required=True)]),
+                  [_arg("--max-level", type=int, required=True),
+                   _large(f"--max-level beyond {MAX_HAUSDORFF_LEVEL}")]),
     "sample": ("sample a closure-element portrait", cmd_sample,
                [_arg("--seed", type=int, default=0), _DEPTH, _large()]),
     "bounded": ("activity profile and boundedness", cmd_bounded,
@@ -245,7 +262,8 @@ COMMANDS = {
     "verify": ("sample random words against the window constraints", cmd_verify, [
         _arg("--samples", type=int, default=1000),
         _arg("--max-len", type=int, default=100),
-        _arg("--seed", type=int, default=0)]),
+        _arg("--seed", type=int, default=0),
+        _large(f"{_VERIFY_WORK} beyond {VERIFY_LETTERS}")]),
 }
 
 

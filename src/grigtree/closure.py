@@ -20,9 +20,10 @@ windows below consecutive vertices are three slices reshaped to 2, 4
 and 8 columns.  `_profiles` turns them into six-bit profiles, scored by
 a 64-entry table, for all windows in the closure check and for one in
 `window_at`, `beta_profile` and `simulates_grigorchuk`.  The forced-bit
-table is derived from the same 64 entries.  The sampler fills a level
-at a time: rows L-2, L-1 and L hold the windows rooted at level L-3
-side by side, and one lookup in the forced-bit table completes them.
+table is derived from the same 64 entries, and so are the coset ids
+that group the admissible rows.  The sampler fills a level at a time:
+rows L-2, L-1 and L hold the windows rooted at level L-3 side by side,
+and one lookup in the forced-bit table completes them.
 """
 
 from __future__ import annotations
@@ -136,6 +137,27 @@ def _window_rows() -> np.ndarray:
     rows = rows.reshape(64, 32)
     rows.flags.writeable = False
     return rows
+
+
+@lru_cache(maxsize=None)
+def _row_cosets() -> tuple[np.ndarray, np.ndarray]:
+    """(syndrome, coset): the coset id syndrome[row] of each 8-bit level-3
+    row, and the id coset[ctx] shared by all 32 admissible rows of each
+    context.  A row's own four betas (its pair xors) must be one of two
+    complementary patterns fixed by the context, so the id is the smaller
+    pattern of the complementary pair the row's betas belong to.  That is
+    a linear map onto GF(2)^3 whose kernel V is 5-dimensional: the
+    admissible rows of every context are one coset of V."""
+    row_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    above = np.zeros((256, 4), dtype=row_bits.dtype)
+    betas = _profiles(above[:, :2], above, row_bits)
+    syndrome = np.minimum(betas, betas ^ 15).astype(np.uint8)
+    rows = _window_rows()
+    coset = syndrome[rows[:, 0]]
+    assert np.array_equal(np.bincount(syndrome), [32] * 8), "V is not 5-dimensional"
+    assert np.all(syndrome[rows] == coset[:, None]), "admissible rows are not a coset of V"
+    syndrome.flags.writeable = coset.flags.writeable = False
+    return syndrome, coset
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,15 @@ candidate lies in layer L-1, and no coset is lost.  This uses only the
 group relations, never the window constraints.  Sets are deduplicated
 by sorting and comparing neighbours, and membership is a binary search.
 
+The admissible enumeration needs no sort.  It adds one level row at a
+time, in the highest bits of the key.  The admissible rows of a window
+are one coset of a fixed 5-dimensional subspace of GF(2)^8, chosen by
+the window's context, so the keys of the level above fall into classes
+that admit the same rows.  Walking the new row's values in increasing
+order and emitting, for each, its class of keys (ascending) gives keys
+that already increase.  A cache is read with one call into the key
+array.
+
 The random-word check builds the depth-8 rows of a chunk of sampled
 words from one state table, so sections the words share are expanded
 once, and scores all windows of the chunk in one pass.
@@ -33,6 +42,7 @@ once, and scores all windows of the chunk in one pass.
 
 from __future__ import annotations
 
+import os
 import random
 import struct
 from dataclasses import dataclass, field
@@ -40,7 +50,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .closure import _failing_windows, _window_rows
+from .closure import _failing_windows, _row_cosets
 from .tree import Portrait, _table_rows, apply, portrait_of, vertex_index, vertex_label
 from .words import ALPHABET, word_element
 
@@ -74,7 +84,8 @@ def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
 class PortraitSet:
     """A set of depth-n portraits, stored as sorted packed keys.  Keys
     already strictly increasing are not sorted again; they are copied
-    unless read-only (as `load_portrait_set` gives them)."""
+    unless read-only (as `load_portrait_set` and
+    `enumerate_admissible_decorations` give them)."""
 
     def __init__(self, level: int, keys: np.ndarray):
         self.level = level
@@ -288,25 +299,48 @@ def enumerate_admissible_decorations(n: int) -> PortraitSet:
     """All depth-n portraits whose complete depth-3 windows (rooted at
     every vertex of level <= n-4) satisfy the window constraints.
 
-    Levels 0-2 are free.  Row L >= 3 is the bottom row of the windows
-    rooted at level L-3: every key is extended by the 5 free bits of
-    each such window, and the 3 forced bits are filled in from the
-    constraint table.
+    Levels 0-2 are free.  Row L >= 3 is the bottom row of the m = 2^(L-3)
+    windows rooted at level L-3, and it fills the highest bits of the
+    key.  The admissible rows of a window are one coset of a fixed
+    5-dimensional subspace of GF(2)^8 (`closure._row_cosets`), picked by
+    the window's context, so a key admits exactly the rows whose m coset
+    ids equal its own tuple of context coset ids.  Keys with one tuple
+    form a class (a stable sort keeps each class ascending), and every
+    class holds as many keys.  Walking the 2^(8m) values of the new row
+    in increasing order, each value is OR'd onto the keys of the class
+    it fits: the new row is the high part and each class ascends, so the
+    keys come out strictly increasing, with no sort.
     """
     _check_level(n)
     keys = np.arange(1 << ((1 << min(n, 3)) - 1), dtype=np.uint32)
-    rows = _window_rows()
+    syndrome, coset = _row_cosets()
     for level in range(3, n):
         above, mid, low = ((1 << (level - d)) - 1 for d in (2, 1, 0))
-        out = keys[:, None]
-        for i in range(1 << (level - 3)):
+        m = 1 << (level - 3)
+        rows = np.arange(1 << (8 * m), dtype=np.uint32)
+        key_class = np.zeros(keys.size, dtype=np.intp)
+        row_class = np.zeros(rows.size, dtype=np.intp)
+        for i in range(m):
             ctx = np.zeros(keys.size, dtype=np.uint32)
             for pos in (above + 2 * i, above + 2 * i + 1,
                         mid + 4 * i, mid + 4 * i + 1, mid + 4 * i + 2, mid + 4 * i + 3):
                 ctx = (ctx << 1) | ((keys >> pos) & 1)
-            extension = rows[ctx] << (low + 8 * i)
-            out = (out[:, :, None] | extension[:, None, :]).reshape(keys.size, -1)
-        keys = out.ravel()
+            key_class |= coset[ctx].astype(np.intp) << (3 * i)
+            row_class |= syndrome[(rows >> (8 * i)) & 0xFF].astype(np.intp) << (3 * i)
+        sizes = np.bincount(key_class, minlength=8 ** m)
+        size = int(sizes.max())
+        assert np.all(sizes[sizes > 0] == size), "classes of unequal size"
+        # one row per occupied class, in class order, each ascending
+        classes = keys.take(np.argsort(key_class, kind="stable")).reshape(-1, size)
+        fits = sizes[row_class] > 0
+        rows = rows[fits]
+        keys = np.empty((rows.size, size), dtype=np.uint32)
+        # the indices are in range; mode "raise" would copy through a buffer
+        classes.take((np.cumsum(sizes > 0) - 1)[row_class[fits]], axis=0, out=keys,
+                     mode="clip")
+        np.bitwise_or(keys, (rows << np.uint32(low))[:, None], out=keys)
+        keys = keys.reshape(-1)
+    keys.flags.writeable = False  # strictly increasing, so PortraitSet keeps it
     return PortraitSet(n, keys)
 
 
@@ -382,7 +416,9 @@ def save_portrait_set(path, pset: PortraitSet) -> None:
 
 def load_portrait_set(path) -> PortraitSet:
     """Read a cache written by save_portrait_set, rejecting any file
-    that save_portrait_set could not have written."""
+    that save_portrait_set could not have written.  The body is sized
+    from the file's status and read in one call straight into the key
+    array."""
     with open(path, "rb") as fh:
         header = fh.read(8)
         if len(header) != 8:
@@ -390,20 +426,25 @@ def load_portrait_set(path) -> PortraitSet:
         level, count = struct.unpack("<II", header)
         _check_level(level)
         dtype = _key_dtype(level)
-        body = fh.read()
-    if len(body) % dtype.itemsize:
-        raise ValueError(
-            f"portrait cache body of {len(body)} bytes is not a whole number "
-            f"of {dtype.itemsize}-byte keys")
-    keys = np.frombuffer(body, dtype=dtype)
-    if keys.size != count:
-        raise ValueError(
-            f"portrait cache declares {count} keys but contains {keys.size}")
-    if count and not np.all(keys[1:] > keys[:-1]):
+        size = os.fstat(fh.fileno()).st_size - 8
+        if size % dtype.itemsize:
+            raise ValueError(
+                f"portrait cache body of {size} bytes is not a whole number "
+                f"of {dtype.itemsize}-byte keys")
+        if size // dtype.itemsize != count:
+            raise ValueError(
+                f"portrait cache declares {count} keys but contains {size // dtype.itemsize}")
+        keys = np.empty(count, dtype=dtype)
+        if fh.readinto(keys) != size:
+            raise ValueError("portrait cache changed while it was read")
+    keys = keys.astype(np.uint32, copy=False)
+    keys.flags.writeable = False
+    pset = PortraitSet(level, keys)  # keeps read-only keys exactly when they increase
+    if pset.keys is not keys:
         raise ValueError("portrait cache keys are not sorted ascending")
     bits = (1 << level) - 1
     if count and int(keys[-1]) >> bits:
         raise ValueError(
             f"portrait cache key {int(keys[-1])} does not fit in the "
             f"{bits} bits of level {level}")
-    return PortraitSet(level, keys.astype(np.uint32, copy=False))
+    return pset

@@ -115,6 +115,9 @@ def test_enumerate(capsys, tmp_path):
     assert code == 0
     cached = gt.load_portrait_set(path)
     assert cached.level == 3 and len(cached) == 128
+    # a cache that cannot be written fails before any output
+    code, out, err = run(capsys, "enumerate", "--level", "3", "--out", str(tmp_path))
+    assert (code, out) == (2, "") and err.startswith("error:")
 
 
 def test_enumerate_guard_rails(capsys):
@@ -383,6 +386,11 @@ def test_main_builds_only_the_named_commands_parser(capsys):
     ["bounded", "auto:f", "--levels", "22"],
     ["decompose", "abcd", "--depth", "40"],
     ["decompose", "abcd", "--depth", "19"],
+    ["hausdorff", "--max-level", "14000"],
+    ["hausdorff", "--max-level", "4001"],
+    ["verify", "--samples", "1", "--max-len", "300000000"],
+    ["verify", "--samples", "300000000", "--max-len", "0"],
+    ["verify", "--samples", "20000"],
 ])
 def test_deep_requests_need_large(capsys, argv):
     start = time.perf_counter()
@@ -402,6 +410,22 @@ def test_decompose_depth_gate(capsys, monkeypatch):
     code, out, _ = run(capsys, "decompose", "abdabac", "--depth", "2", "--large")
     assert code == 0 and len(out.splitlines()) == 7
     assert run(capsys, "decompose", "abdabac", "--depth", "1") == (0, "-: abdabac\n0: cbad\n1: aca\n", "")
+
+
+def test_hausdorff_and_verify_size_gates(capsys, monkeypatch):
+    monkeypatch.setattr("grigtree.cli.MAX_HAUSDORFF_LEVEL", 3)
+    assert run(capsys, "hausdorff", "--max-level", "4") == (
+        2, "", "error: --max-level 4 is above 3, and the output grows as its square; "
+               "pass --large to allow it\n")
+    code, out, _ = run(capsys, "hausdorff", "--max-level", "4", "--large")
+    assert code == 0 and out.splitlines()[3] == "4\t12\t15\t4/5\t0.800000"
+    monkeypatch.setattr("grigtree.cli.VERIFY_LETTERS", 100)
+    assert run(capsys, "verify", "--samples", "10", "--max-len", "3") == (
+        2, "", "error: --samples x (--max-len + 8) 110 is above 100, and the time grows "
+               "with it; pass --large to allow it\n")
+    assert run(capsys, "verify", "--samples", "10", "--max-len", "3", "--large") == (
+        0, "seed=0 samples=10 max_len=3 violations=0\n", "")
+    assert run(capsys, "verify", "--samples", "10", "--max-len", "2")[0] == 0
 
 
 @pytest.mark.parametrize("argv, message", [

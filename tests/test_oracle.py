@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import grigtree as gt
 from grigtree import Portrait, TruncationAutomorphism
+from grigtree.closure import _row_cosets, _window_rows
 from grigtree.oracle import QuotientSet, _key_halves, _left_product, _left_tables
 
 
@@ -95,6 +96,60 @@ def exhaustive_admissible(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_admissible_extension_matches_exhaustive_filter(n):
     assert gt.enumerate_admissible_decorations(n).keys.tolist() == exhaustive_admissible(n)
+
+
+def extension_reference(n):
+    """Extend every key by the 5 free bits of each window rooted on the
+    level, filling the 3 forced bits from the constraint table, and sort
+    the keys at the end."""
+    keys = np.arange(1 << ((1 << min(n, 3)) - 1), dtype=np.uint32)
+    rows = _window_rows()
+    for level in range(3, n):
+        above, mid, low = ((1 << (level - d)) - 1 for d in (2, 1, 0))
+        out = keys[:, None]
+        for i in range(1 << (level - 3)):
+            ctx = np.zeros(keys.size, dtype=np.uint32)
+            for pos in (above + 2 * i, above + 2 * i + 1,
+                        mid + 4 * i, mid + 4 * i + 1, mid + 4 * i + 2, mid + 4 * i + 3):
+                ctx = (ctx << 1) | ((keys >> pos) & 1)
+            extension = rows[ctx] << (low + 8 * i)
+            out = (out[:, :, None] | extension[:, None, :]).reshape(keys.size, -1)
+        keys = out.ravel()
+    return np.sort(keys)
+
+
+def test_admissible_rows_of_every_context_are_a_coset_of_one_subspace():
+    rows = _window_rows().astype(int)
+    space = sorted(set((rows[0] ^ rows[0, 0]).tolist()))
+    assert len(space) == 32 and {u ^ v for u in space for v in space} == set(space)
+    assert all(sorted((row ^ row[0]).tolist()) == space for row in rows)
+    assert len({tuple(sorted(row)) for row in rows.tolist()}) == 8
+    syndrome, coset = _row_cosets()
+    for ctx in range(64):
+        assert set(np.flatnonzero(syndrome == coset[ctx]).tolist()) == set(rows[ctx].tolist())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_admissible_keys_are_built_sorted_and_read_only(n):
+    keys = gt.enumerate_admissible_decorations(n).keys
+    assert np.all(keys[1:] > keys[:-1]) and not keys.flags.writeable
+    assert np.array_equal(keys, extension_reference(n))
+
+
+def test_admissible_sets_are_computed_afresh():
+    first, second = (gt.enumerate_admissible_decorations(5) for _ in range(2))
+    assert np.array_equal(first.keys, second.keys)
+    assert not np.shares_memory(first.keys, second.keys)
+
+
+def test_level5_cache_round_trip(tmp_path):
+    a5 = gt.enumerate_admissible_decorations(5)
+    path = tmp_path / "level5.bin"
+    gt.save_portrait_set(path, a5)
+    assert path.stat().st_size == 8 + 4 * len(a5)
+    loaded = gt.load_portrait_set(path)
+    assert loaded.level == 5 and np.array_equal(loaded.keys, a5.keys)
+    assert loaded.keys.dtype == np.uint32 and not loaded.keys.flags.writeable
 
 
 TABLES = {n: _left_tables(n) for n in (3, 4, 5)}
@@ -385,6 +440,30 @@ def test_load_rejects_partial_key(tmp_path):
     path = tmp_path / "partial.bin"
     path.write_bytes(struct.pack("<II", 5, 1) + bytes([1, 2, 3]))
     with pytest.raises(ValueError, match="whole number"):
+        gt.load_portrait_set(path)
+
+
+@pytest.mark.parametrize("level, count, body, message", [
+    (5, 2, struct.pack("<II", 1, 7) + b"\x01",
+     "portrait cache body of 9 bytes is not a whole number of 4-byte keys"),
+    (4, 1, struct.pack("<H", 3) + b"\x00",
+     "portrait cache body of 3 bytes is not a whole number of 2-byte keys"),
+    (3, 2, bytes([1, 5, 9]), "portrait cache declares 2 keys but contains 3"),
+])
+def test_load_rejects_one_trailing_byte(tmp_path, level, count, body, message):
+    path = tmp_path / "trailing.bin"
+    path.write_bytes(struct.pack("<II", level, count) + body)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        gt.load_portrait_set(path)
+
+
+def test_load_of_a_header_only_file(tmp_path):
+    path = tmp_path / "empty.bin"
+    path.write_bytes(struct.pack("<II", 5, 0))
+    empty = gt.load_portrait_set(path)
+    assert (empty.level, len(empty), empty.keys.dtype) == (5, 0, np.uint32)
+    path.write_bytes(struct.pack("<II", 4, 3))
+    with pytest.raises(ValueError, match="^portrait cache declares 3 keys but contains 0$"):
         gt.load_portrait_set(path)
 
 
