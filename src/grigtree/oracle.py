@@ -17,14 +17,17 @@ product is two gathers, one from a 65,536-entry table per 16-bit half
 of the key, derived from the tree action of the generator itself.
 
 The BFS checks each layer only against itself, in the same sort that
-dedupes its candidates.  The generators are involutions, so a neighbour
-of layer L lies in layer L-1, L or L+1, and the generators s with s*g
-in layer L-1 are exactly those of the candidates that reached g.  g is
-never multiplied by them, nor by b, c or d once one of those is among
-them: as bcd = 1, that product is a neighbour of layer L-1.  So no
-candidate lies in layer L-1, and no coset is lost.  This uses only the
-group relations, never the window constraints.  Sets are deduplicated
-by sorting and comparing neighbours, and membership is a binary search.
+dedupes its candidates: the generators are involutions, and a coset is
+never multiplied by a generator that leads back to the layer before,
+nor by b, c or d once one of them does (`enumerate_quotient` shows that
+no coset is lost, from the group relations alone, never the window
+constraints).  A candidate is tagged with its generator only: s*g is
+injective in g, so a coset's candidates carry distinct generators, and
+the first carries the least s with s*x in the layer before, which the
+pruning never drops.  So the BFS keeps only each layer's sorted keys,
+and a witness finds the same parent chain again, one binary search per
+letter.  Sets are deduplicated by sorting and comparing neighbours, and
+membership is a binary search.
 
 The admissible enumeration needs no sort.  It adds one level row at a
 time, in the highest bits of the key.  The admissible rows of a window
@@ -42,6 +45,7 @@ once, and scores all windows of the chunk in one pass.
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 import struct
@@ -74,11 +78,13 @@ def _check_level(n: int) -> int:
     return n
 
 
-def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
-    """Mask of the first entry of each run of equal sorted keys."""
-    mask = np.ones(sorted_keys.size, dtype=bool)
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=mask[1:])
-    return mask
+def _position(sorted_keys: np.ndarray, key: int) -> int | None:
+    """Position of key in sorted uint32 keys, or None if absent."""
+    if not 0 <= key <= 0xFFFFFFFF:
+        return None
+    # a uint32 needle keeps numpy from casting the whole array
+    i = int(np.searchsorted(sorted_keys, np.uint32(key)))
+    return i if i < sorted_keys.size and int(sorted_keys[i]) == key else None
 
 
 class PortraitSet:
@@ -92,7 +98,8 @@ class PortraitSet:
         keys = np.asarray(keys, dtype=np.uint32)
         if not np.all(keys[1:] > keys[:-1]):
             keys = np.sort(keys)
-            first = _first_of_runs(keys)
+            first = np.ones(keys.size, dtype=bool)  # the first of each run of equal keys
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
             keys = keys if first.all() else keys[first]
         elif keys.flags.writeable:
             keys = keys.copy()
@@ -109,16 +116,8 @@ class PortraitSet:
             return item.pack()
         return int(item)
 
-    def _index(self, key: int) -> int | None:
-        """Position of key in self.keys, or None if absent."""
-        if not 0 <= key <= 0xFFFFFFFF:
-            return None
-        # a uint32 needle keeps numpy from casting the whole array
-        i = int(np.searchsorted(self.keys, np.uint32(key)))
-        return i if i < self.keys.size and int(self.keys[i]) == key else None
-
     def __contains__(self, item: Portrait | int) -> bool:
-        return self._index(self.key_of(item)) is not None
+        return _position(self.keys, self.key_of(item)) is not None
 
     def portraits(self) -> Iterator[Portrait]:
         for key in self.keys:
@@ -134,64 +133,75 @@ class QuotientSet(PortraitSet):
     """The quotient of the Grigorchuk group by its level-n stabilizer,
     with a shortest generator word as witness for each coset.
 
-    Coset i in discovery order, with key disc_keys[i], is
-    ALPHABET[gens[i]] times coset parents[i]; the identity has parent -1.
-    A BFS finds each coset once, so the discovery keys must be distinct.
+    Layer L of the BFS, the cosets at word length L, is the sorted slice
+    disc_keys[bounds[L]:bounds[L + 1]].  No parent is stored: the BFS
+    tags each candidate with its generator only, and `witness` reads the
+    parent chain off the layers.  A BFS finds each coset once, so the
+    discovery keys must be distinct.
     """
 
-    def __init__(self, level, disc_keys, parents, gens):
+    def __init__(self, level, disc_keys, bounds):
         super().__init__(level, disc_keys)
         if len(self) != disc_keys.size:
             raise RuntimeError("the BFS discovered a coset twice")
         self._disc_keys = disc_keys
-        self._parents = parents
-        self._gens = gens
-        self._order = None
+        self._bounds = bounds
 
     def witness(self, item: Portrait | int) -> str:
         """A shortest generator word whose depth-n portrait is the given
-        coset key.  Each step of the BFS prepends one letter, so walking
-        the parent chain reads the word from left to right."""
+        coset key.  Coset x of layer L > 0 is s times coset s*x of layer
+        L-1, for the first s in ALPHABET order that leads back there: the
+        generator of the BFS's first candidate for x.  So walking down the
+        layers reads the BFS's parent chain, from left to right."""
         key = self.key_of(item)
-        i = self._index(key)
-        if i is None:
+        if _position(self.keys, key) is None:
             raise KeyError(f"key {key} not in quotient set")
-        if self._order is None:
-            self._order = np.argsort(self._disc_keys)
-        idx = int(self._order[i])
+        moved, shift = _generator_moves(self.level)
+        bits = np.arange(moved.shape[1], dtype=np.uint32)
+        disc, bounds = self._disc_keys, self._bounds
+        # the largest layers first, where most cosets lie
+        order = sorted(range(len(bounds) - 1), key=lambda d: bounds[d] - bounds[d + 1])
+        depth = next(d for d in order if _position(disc[bounds[d]:bounds[d + 1]], key) is not None)
         letters = []
-        while self._parents[idx] >= 0:
-            letters.append(ALPHABET[self._gens[idx]])
-            idx = int(self._parents[idx])
+        for d in range(depth - 1, -1, -1):
+            layer = disc[bounds[d]:bounds[d + 1]]
+            products = moved @ ((key >> bits) & 1) ^ shift  # key(s*x) for each s
+            back = layer.take(layer.searchsorted(products), mode="clip") == products
+            s = int(back.argmax())
+            letters.append(ALPHABET[s])
+            key = int(products[s])
         return "".join(letters)
+
+
+@functools.cache
+def _generator_moves(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The left action of the generators (rows in ALPHABET order) on
+    depth-n keys: key(s*g) = shift[s] xor the sum of moved[s, j] over the
+    set bits j of key(g).  Bit u of key(s*g) is bit u^s of key(g) xor bit
+    u of key(s) = shift[s], so bit j of key(g) moves to the one bit
+    moved[s, j]; all of it comes from the tree action of the generators."""
+    bits = (1 << n) - 1
+    moved = np.zeros((len(ALPHABET), bits), dtype=np.uint32)
+    shift = np.zeros(len(ALPHABET), dtype=np.uint32)
+    for row, letter in enumerate(ALPHABET):
+        s = word_element(letter)
+        for p in range(bits):
+            moved[row, vertex_index(apply(s, vertex_label(p)))] = 1 << p
+        shift[row] = portrait_of(s, n).pack()
+    moved.flags.writeable = shift.flags.writeable = False
+    return moved, shift
 
 
 def _left_tables(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """For each generator s, the tables (low, high) with
-    key(s*g) = low[k & 0xFFFF] ^ high[k >> 16] for k = key(g).
-
-    Bit u of key(s*g) is bit u^s of k xor bit u of key(s), so each bit
-    of k moves to one bit of the product: a table over a 16-bit half of
-    k is built by doubling, one bit of the half at a time, and key(s) is
-    folded into the low table.  Everything comes from the tree action of
-    the generator element.
-    """
-    bits = (1 << n) - 1
-    tables = []
-    for letter in ALPHABET:
-        s = word_element(letter)
-        moved = [0] * bits  # moved[j]: the product bit that bit j of k sets
-        for p in range(bits):
-            moved[vertex_index(apply(s, vertex_label(p)))] = 1 << p
-        halves = []
-        for half in (moved[:16], moved[16:]):
-            table = np.zeros(1, dtype=np.uint32)
-            for bit in half:
-                table = np.concatenate((table, table ^ np.uint32(bit)))
-            halves.append(table)
-        halves[0] ^= np.uint32(portrait_of(s, n).pack())
-        tables.append(tuple(halves))
-    return tables
+    key(s*g) = low[k & 0xFFFF] ^ high[k >> 16] for k = key(g), each built
+    by doubling, one bit of a 16-bit half of k at a time."""
+    def doubled(bits):
+        table = np.zeros(1, dtype=np.uint32)
+        for bit in bits:
+            table = np.concatenate((table, table ^ bit))
+        return table
+    return [(doubled(row[:16]) ^ key, doubled(row[16:])) for row, key in zip(*_generator_moves(n))]
 
 
 def _key_halves(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,14 +231,10 @@ def _grow(buffer: np.ndarray, size: int, keep: int = 0) -> np.ndarray:
     return grown
 
 
-#: A candidate's tag is (generator << SLOT_BITS | index of its parent) + 1.
-SLOT_BITS = 29
-
-
 def enumerate_quotient(n: int) -> QuotientSet:
     """BFS of the Grigorchuk group acting on depth-n portraits, starting
     from the identity and left-multiplying by the four generators;
-    returns every reachable coset with a shortest witness word.
+    returns every reachable coset, layer by layer, each layer sorted.
 
     A neighbour of layer L lies in layer L-1, L or L+1, and R(g), the
     generators s with s*g in layer L-1, are those of the candidates that
@@ -241,21 +247,21 @@ def enumerate_quotient(n: int) -> QuotientSet:
     """
     _check_level(n)
     tables = _left_tables(n)
-    # cosets in discovery order; the frontier is [start, end)
+    # cosets in discovery order, a layer at a time; the frontier is [start, end)
     disc_keys = np.zeros(1, dtype=np.uint32)
-    parents = np.full(1, -1, dtype=np.int32)
-    gens = np.zeros(1, dtype=np.uint8)
+    bounds = [0]
     # (frontier slots, generators to multiply them by); a is generator 0,
     # and the identity is multiplied by all four
     expansions = [(np.zeros(1, dtype=np.intp), (0, 1, 2, 3))]
     tagged, first = np.empty(0, dtype="<u8"), np.empty(0, dtype=bool)
     start, end = 0, 1
     while end > start:
+        bounds.append(end)
         frontier, size = disc_keys[start:end], end - start
-        # sort (key, tag) pairs: frontier keys carry tag 0, candidates
-        # their tag; a run of equal keys is fresh unless it starts with
-        # tag 0, and then its first tag is its first candidate.  Each pair
-        # is one little-endian uint64, key in the high half.
+        # sort (key, tag) pairs, each one little-endian uint64 with the key
+        # in the high half: frontier keys carry tag 0, candidates their
+        # generator + 1.  A run of equal keys is fresh unless it starts with
+        # tag 0, and then its first tag is its least generator.
         total = size + sum(slots.size * len(g) for slots, g in expansions)
         tagged, first = _grow(tagged, total), _grow(first, total + 1)
         pairs = tagged[:total].view("<u4").reshape(-1, 2)
@@ -267,8 +273,7 @@ def enumerate_quotient(n: int) -> QuotientSet:
             halves = _key_halves(frontier.take(slots))
             for g in generators:
                 _left_product(halves, tables[g], out=pairs[at:at + k, 1])
-                np.add(slots, (g << SLOT_BITS) + start + 1, out=pairs[at:at + k, 0],
-                       casting="unsafe")
+                pairs[at:at + k, 0] = g + 1
                 at += k
         tagged[:total].sort()
         # first[i]: entry i starts a run; a fresh run of one candidate
@@ -280,19 +285,14 @@ def enumerate_quotient(n: int) -> QuotientSet:
         if new > 1 << ((1 << n) - 1):  # more cosets than keys: a key came back
             raise RuntimeError("the BFS discovered a coset twice")
         disc_keys = _grow(disc_keys, new, end)
-        parents = _grow(parents, new, end)
-        gens = _grow(gens, new, end)
         chosen = tagged.take(fresh).view("<u4").reshape(-1, 2)
         disc_keys[end:new] = chosen[:, 1]
-        cand = chosen[:, 0] - 1
-        np.bitwise_and(cand, (1 << SLOT_BITS) - 1, out=parents[end:new], casting="unsafe")
-        np.right_shift(cand, SLOT_BITS, out=gens[end:new], casting="unsafe")
-        by_a = gens[end:new] == 0
+        by_a = chosen[:, 0] == 1
         expansions = [(np.flatnonzero(~by_a), (0,)),
                       (np.flatnonzero(by_a & first[1:].take(fresh)), (1, 2, 3))]
         start, end = end, new
-    del tagged, first  # unmapped before QuotientSet sorts a copy of the keys
-    return QuotientSet(n, disc_keys[:end], parents[:end], gens[:end])
+    del tagged, pairs, first, tables  # unmapped before QuotientSet sorts a copy of the keys
+    return QuotientSet(n, disc_keys[:end], bounds)
 
 
 def enumerate_admissible_decorations(n: int) -> PortraitSet:

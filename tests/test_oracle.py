@@ -1,6 +1,7 @@
 import random
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -205,10 +206,31 @@ def reference_quotient(n):
     return visited, np.concatenate(disc_keys), np.concatenate(parents), np.concatenate(gens)
 
 
+def layer_parents(q):
+    """(parents, generators) of q's cosets in discovery order, rebuilt from
+    its sorted layers by the rule `witness` walks: coset x of layer L > 0
+    is ALPHABET[s] times coset s*x, for the first s with s*x in layer L-1.
+    The dtypes are those of reference_quotient."""
+    tables = _left_tables(q.level)
+    keys, bounds = q._disc_keys, q._bounds
+    parents = np.full(keys.size, -1, dtype=np.int32)
+    gens = np.zeros(keys.size, dtype=np.uint8)
+    for lo, mid, hi in zip(bounds, bounds[1:], bounds[2:]):
+        below, found = keys[lo:mid], np.zeros(hi - mid, dtype=bool)
+        for s, products in enumerate(_left_products(keys[mid:hi], tables)):
+            at = np.minimum(np.searchsorted(below, products), below.size - 1)
+            back = ~found & (below[at] == products)
+            parents[mid:hi][back] = lo + at[back]
+            gens[mid:hi][back] = s
+            found |= back
+        assert found.all()  # every coset of layer L has a neighbour in layer L-1
+    return parents, gens
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_layer_local_bfs_matches_the_full_visited_bfs(n, quotient4):
     q = quotient4 if n == 4 else gt.enumerate_quotient(n)
-    got = (q.keys, q._disc_keys, q._parents, q._gens)
+    got = (q.keys, q._disc_keys, *layer_parents(q))
     for mine, ref in zip(got, reference_quotient(n)):
         assert mine.dtype == ref.dtype
         assert np.array_equal(mine, ref)
@@ -219,8 +241,34 @@ def test_bfs_from_small_buffers_matches_the_full_visited_bfs(n, monkeypatch):
     # buffers start at BUFFER_BYTES: this small, they grow with the layers
     monkeypatch.setattr("grigtree.oracle.BUFFER_BYTES", 8)
     q = gt.enumerate_quotient(n)
-    for mine, ref in zip((q.keys, q._disc_keys, q._parents, q._gens), reference_quotient(n)):
+    for mine, ref in zip((q.keys, q._disc_keys, *layer_parents(q)), reference_quotient(n)):
         assert np.array_equal(mine, ref)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_every_witness_is_the_reference_parent_chain(n, quotient4):
+    q = quotient4 if n == 4 else gt.enumerate_quotient(n)
+    _, disc_keys, parents, gens = reference_quotient(n)
+    words = [""]  # a parent is discovered before its child
+    for parent, gen in zip(parents[1:].tolist(), gens[1:].tolist()):
+        words.append(gt.ALPHABET[gen] + words[parent])
+    bounds = q._bounds
+    for depth, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        for key, word in zip(disc_keys[lo:hi].tolist(), words[lo:hi]):
+            assert q.witness(key) == word and len(word) == depth
+
+
+def test_the_first_witness_allocates_no_set_sized_array():
+    q = gt.enumerate_quotient(4)
+    key = int(q._disc_keys[-1])  # in the deepest layer: the longest walk
+    tracemalloc.start()
+    try:
+        word = q.witness(key)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(word) == len(q._bounds) - 2
+    assert peak < q.keys.nbytes // 4
 
 
 def _layers(n):
@@ -273,8 +321,7 @@ def test_generator_steps_are_involutions(case):
 def test_quotient_set_rejects_a_coset_found_twice():
     disc = np.array([0, 3, 1, 3], dtype=np.uint32)
     with pytest.raises(RuntimeError, match="twice"):
-        QuotientSet(2, disc, np.array([-1, 0, 0, 1], dtype=np.int32),
-                    np.zeros(4, dtype=np.uint8))
+        QuotientSet(2, disc, [0, 1, 3, 4])
 
 
 def test_witnesses_are_shortest_words():
