@@ -27,7 +27,7 @@ from .automata import (activity_profile, element_of, f_automaton,
                        kbar_element, parse_automaton)
 from .closure import (free_bit_count, hausdorff_estimate, in_closure_up_to,
                       sample_closure_element)
-from .oracle import enumerate_quotient, save_portrait_set, verify_window_constraints
+from .oracle import _check_level, enumerate_quotient, save_portrait_set, verify_window_constraints
 from .tree import (Automorphism, Portrait, TruncationAutomorphism, apply,
                    check_vertex, portrait_of, vertex_label)
 from .words import check_word, decompose_word, reduce, section_words, word_element
@@ -122,9 +122,8 @@ def cmd_decompose(args) -> int:
         print(f"0: {w0 or '-'}  1: {w1 or '-'}  sigma: {parity}")
         return 0
     _require_large(args, "--depth", args.depth, MAX_SECTION_DEPTH)
-    sections = section_words(word, args.depth)
-    for u in sorted(sections, key=lambda v: (len(v), v)):
-        print(f"{u or '-'}: {sections[u] or '-'}")
+    for u, w in section_words(word, args.depth).items():
+        print(f"{u or '-'}: {w or '-'}")
     return 0
 
 
@@ -165,8 +164,8 @@ def cmd_check_closure(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.level >= 5 and not args.large:
-        raise DesignatorError("level 5 holds ~4.2M portraits; pass --large to allow it")
+    _check_level(args.level)  # an out-of-range level gets no --large hint
+    _require_large(args, "--level", args.level, 4, "level 5 holds ~4.2M portraits")
     qs = enumerate_quotient(args.level)
     if args.out:  # before any output, so that a failed write prints nothing
         save_portrait_set(args.out, qs)
@@ -267,26 +266,16 @@ COMMANDS = {
 }
 
 
-class _OneCommandParser(argparse.ArgumentParser):
-    """A parser that raises its argument errors instead of reporting them."""
-
-    def error(self, message):
-        raise argparse.ArgumentError(None, message)
-
-
-@functools.lru_cache(maxsize=None)
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser for every command, or for the named one only,
-    built once per process and reused by every main call.  A one-command
-    parser raises its argument errors, so that the full parser, whose
-    usage lists every command, reports them."""
-    parser = (argparse.ArgumentParser if command is None else _OneCommandParser)(
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser for every command, built once per process and
+    reused by every main call."""
+    parser = argparse.ArgumentParser(
         prog="grigtree",
         description="Exact computation with binary-tree automorphisms and "
                     "the closure of the Grigorchuk group.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS if command is None else [command]:
-        help_, func, arguments = COMMANDS[name]
+    for name, (help_, func, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         for flags, options in arguments:
             p.add_argument(*flags, **options)
@@ -294,20 +283,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse with the named command's parser alone; help without a
-    command, an unknown command and any argument error go to the full
-    parser, so every message is the full parser's."""
-    if argv and argv[0] in COMMANDS:
-        try:
-            return build_parser(argv[0]).parse_args(argv)
-        except argparse.ArgumentError:
-            pass
-    return build_parser().parse_args(argv)
-
-
 def main(argv=None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else list(argv))
+    args = build_parser().parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (DesignatorError, ValueError, RecursionError, MemoryError, OSError) as exc:

@@ -294,12 +294,6 @@ class Portrait:
             raise ValueError(f"vertex {u!r} is below depth {self.depth}")
         return int(self.bits[v])
 
-    def child(self, x: int) -> "Portrait":
-        """The depth-(d-1) portrait hanging below vertex x."""
-        if x not in (0, 1):
-            raise ValueError("child index must be 0 or 1")
-        return Portrait(_rows_below(self.bits, 1 + x, self.depth - 1))
-
     def pack(self) -> int:
         """Bit-pack into an integer key: the bit at vertex u is bit
         vertex_index(u) of the key, so a depth-d portrait packs into

@@ -145,8 +145,9 @@ def _decompose(word: str) -> tuple[str, str, int]:
 def section_words(word: str, depth: int) -> dict[str, str]:
     """Raw section words at every vertex of length <= depth.
 
-    Keys are vertex labels; the root maps to the input word, and the
-    children of vertex u carry the two halves of decompose_word(W_u).
+    Keys are vertex labels, inserted in vertex order: level by level,
+    lexicographic within a level.  The root maps to the input word, and
+    the children of vertex u carry the two halves of decompose_word(W_u).
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")

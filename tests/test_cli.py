@@ -6,6 +6,7 @@ import pytest
 
 import grigtree as gt
 from grigtree.cli import COMMANDS, build_parser, main
+from grigtree.tree import vertex_label
 
 
 def run(capsys, *argv):
@@ -42,6 +43,10 @@ def test_decompose_with_depth(capsys):
     lines = out.splitlines()
     assert lines[0] == "-: abdabac"
     assert [ln.split(":")[0] for ln in lines] == ["-", "0", "1", "00", "01", "10", "11"]
+    code, out, _ = run(capsys, "decompose", "abdabac", "--depth", "4")
+    assert code == 0
+    assert [ln.split(":")[0] for ln in out.splitlines()] == \
+        [vertex_label(v) or "-" for v in range(31)]
 
 
 def test_act(capsys):
@@ -121,12 +126,13 @@ def test_enumerate(capsys, tmp_path):
 
 
 def test_enumerate_guard_rails(capsys):
-    code, _, err = run(capsys, "enumerate", "--level", "5")
-    assert code == 2
-    assert "--large" in err
-    code, _, err = run(capsys, "enumerate", "--level", "0")
-    assert code == 2
-    assert err.startswith("error:")
+    assert run(capsys, "enumerate", "--level", "5") == (2, "", (
+        "error: --level 5 is above 4, and level 5 holds ~4.2M portraits; "
+        "pass --large to allow it\n"))
+    for level in ("0", "6"):  # out of range: no --large hint, with or without it
+        for large in ([], ["--large"]):
+            assert run(capsys, "enumerate", "--level", level, *large) == (
+                2, "", f"error: level must be between 1 and 5, got {level}\n")
 
 
 def test_hausdorff_table(capsys):
@@ -363,18 +369,6 @@ def _full_parser_outcome(capsys, argv):
 ])
 def test_help_and_usage_errors_are_the_full_parsers(capsys, argv):
     assert _outcome(capsys, argv) == _full_parser_outcome(capsys, argv)
-
-
-def test_main_builds_only_the_named_commands_parser(capsys):
-    build_parser.cache_clear()
-    try:
-        assert run(capsys, "reduce", "aabd") == (0, "c\n", "")
-        assert run(capsys, "hausdorff", "--max-level", "1")[0] == 0
-        assert build_parser.cache_info().currsize == 2  # "reduce" and "hausdorff"
-        _outcome(capsys, ["reduce"])  # a usage error: the full parser reports it
-        assert build_parser.cache_info().currsize == 3
-    finally:
-        build_parser.cache_clear()
 
 
 @pytest.mark.parametrize("argv", [

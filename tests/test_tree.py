@@ -251,7 +251,6 @@ def test_portrait_accepts_bool_rows():
 def test_portrait_bit_and_child():
     p = gt.Portrait(((1,), (0, 1), (1, 1, 0, 0)))
     assert p.bit("") == 1 and p.bit("1") == 1 and p.bit("01") == 1
-    assert p.child(1).levels == ((1,), (0, 0))
 
 
 def test_empty_portrait_round_trips():
