@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 
 from .automata import (activity_profile, element_of, f_automaton,
@@ -255,7 +256,8 @@ COMMANDS = {
                   [_arg("--max-level", type=int, required=True),
                    _large(f"--max-level beyond {MAX_HAUSDORFF_LEVEL}")]),
     "sample": ("sample a closure-element portrait", cmd_sample,
-               [_arg("--seed", type=int, default=0), _DEPTH, _large()]),
+               [_arg("--seed", type=int, default=0, help="0 <= seed < 2^64 (default 0)"),
+                _DEPTH, _large()]),
     "bounded": ("activity profile and boundedness", cmd_bounded,
                 [_arg("elem"), _arg("--levels", type=int, default=8), _large()]),
     "verify": ("sample random words against the window constraints", cmd_verify, [
@@ -291,6 +293,11 @@ def main(argv=None) -> int:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
+
+# What the imports built lives as long as the process.  Frozen, it leaves
+# the collector's generations, so the first collections after import do
+# not scan it inside whichever command happens to cross their thresholds.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -23,12 +23,14 @@ a 64-entry table, for all windows in the closure check and for one in
 table is derived from the same 64 entries, and so are the coset ids
 that group the admissible rows.  The sampler fills a level at a time:
 rows L-2, L-1 and L hold the windows rooted at level L-3 side by side,
-and one lookup in the forced-bit table completes them.
+and one lookup in the forced-bit table completes them.  Its drawn bits
+come from a counter hash: the bit at vertex index v is the top bit of
+SplitMix64's output function applied to the seed's key plus (v + 1)
+times the golden-ratio increment, one array expression per level.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -126,14 +128,16 @@ def _window_rows() -> np.ndarray:
     bits ctx = a_0 a_1 a_00 a_01 a_10 a_11 above it (most significant
     first) and its free-bit index: of all 64 x 256 (context, row) pairs,
     exactly one admissible row has each (context, free bits)."""
-    ctx, row = np.divmod(np.arange(64 * 256), 256)
-    above = (ctx[:, None] >> np.arange(5, -1, -1)) & 1
-    keep = _ADMISSIBLE[_profiles(above[:, :2], above[:, 2:], (row[:, None] >> np.arange(8)) & 1)]
-    ctx, row = ctx[keep], row[keep]
-    cell = ctx * 32 + sum(((row >> r) & 1) << j for j, r in enumerate(_FREE))
+    ctx = np.repeat(np.arange(64, dtype=np.uint8), 256)
+    row = np.tile(np.arange(256, dtype=np.uint8), 64)
+    above = np.unpackbits(ctx[:, None], axis=1)[:, 2:]
+    bits = np.unpackbits(row[:, None], axis=1, bitorder="little")
+    keep = _ADMISSIBLE[_profiles(above[:, :2], above[:, 2:], bits)]
+    l3 = bits[keep]
+    cell = ctx[keep].astype(np.intp) * 32 + sum(l3[:, r] << j for j, r in enumerate(_FREE))
     assert np.array_equal(np.sort(cell), np.arange(64 * 32)), "forcing is not unique"
     rows = np.zeros(64 * 32, dtype=np.uint32)
-    rows[cell] = row
+    rows[cell] = row[keep]
     rows = rows.reshape(64, 32)
     rows.flags.writeable = False
     return rows
@@ -286,23 +290,25 @@ def complete_window(
                             tuple((row >> r) & 1 for r in range(8)))
 
 
-def _seed_bits(seed: int, level: int, indices: np.ndarray) -> np.ndarray:
-    """Deterministic bits at the given vertices of a level: a
-    counter-based generator keyed by (seed, vertex label), so extending
-    the depth never changes the bits already drawn at shallower
-    vertices.  The labels f"{seed}|{u}" are the rows of one byte matrix,
-    and each row slice is hashed."""
-    prefix = f"{seed}|".encode()
-    width = len(prefix) + level
-    labels = np.empty((len(indices), width), dtype=np.uint8)
-    labels[:, :len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
-    for j in range(level):  # the label's binary digits, most significant first
-        labels[:, len(prefix) + j] = 48 + ((indices >> (level - 1 - j)) & 1)
-    data = memoryview(labels).cast("B")
-    blake2b = hashlib.blake2b
-    return np.fromiter((blake2b(data[i:i + width], digest_size=8).digest()[0] & 1
-                        for i in range(0, data.nbytes, width)),
-                       dtype=np.uint8, count=len(indices))
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function on a uint64 array, in place (numpy
+    arrays wrap on overflow)."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
+
+
+def _seed_bits(seed: int, level: int) -> np.ndarray:
+    """The drawn bit of every vertex of a level: at vertex index v, the
+    top bit of mix64(mix64(seed) + (v + 1) * 0x9E3779B97F4A7C15) in
+    wrapping uint64 arithmetic.  A bit depends only on the seed and its
+    vertex, so extending the depth never changes the bits already drawn."""
+    key = _mix64(np.array([seed], dtype=np.uint64))
+    counter = np.arange(1 << level, 2 << level, dtype=np.uint64)  # v + 1 on the level
+    return (_mix64(counter * 0x9E3779B97F4A7C15 + key) >> 63).astype(np.uint8)
 
 
 def sample_closure_element(seed: int, depth: int) -> Portrait:
@@ -312,25 +318,22 @@ def sample_closure_element(seed: int, depth: int) -> Portrait:
     whose label ends in 1 or in 110 are drawn freely and the remaining
     three bits of each window rooted three levels up are forced, a level
     at a time, by one lookup in the forced-bit table.  Deterministic in
-    the seed.
+    the seed, which must satisfy 0 <= seed < 2^64.
     """
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} is outside 0 <= seed < 2^64")
     if depth < 4:
         raise ValueError("sampling needs depth >= 4")
-    rows = [_seed_bits(seed, level, np.arange(1 << level)) for level in range(3)]
+    rows = [_seed_bits(seed, level) for level in range(3)]
     table = _window_rows()
     for level in range(3, depth):
-        index = np.arange(1 << level)
-        free_at = index[(index & 1 == 1) | (index & 7 == 6)]
-        row = np.zeros(1 << level, dtype=np.uint8)
-        row[free_at] = _seed_bits(seed, level, free_at)
         l1 = rows[level - 2].reshape(-1, 2)
         l2 = rows[level - 1].reshape(-1, 4)
-        l3 = row.reshape(-1, 8)
+        l3 = _seed_bits(seed, level).reshape(-1, 8)  # only the free columns are read
         ctx = ((l1[:, 0] << 5) | (l1[:, 1] << 4) | (l2[:, 0] << 3)
                | (l2[:, 1] << 2) | (l2[:, 2] << 1) | l2[:, 3])
         free = sum(l3[:, r] << j for j, r in enumerate(_FREE))
-        filled = table[ctx, free][:, None] >> np.arange(8, dtype=np.uint32)
-        rows.append((filled & 1).astype(np.uint8).ravel())
+        rows.append(np.unpackbits(table[ctx, free].astype(np.uint8), bitorder="little"))
     return Portrait(rows)
 
 

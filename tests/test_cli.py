@@ -1,6 +1,9 @@
 import hashlib
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -176,16 +179,33 @@ def test_sample_is_deterministic(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64), str(10 ** 30)])
+def test_sample_rejects_seeds_outside_64_bits(capsys, seed):
+    code, out, err = run(capsys, "sample", "--seed", seed, "--depth", "4")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "2^64" in err
+
+
+def test_cli_import_does_not_load_hashlib_or_numpy_random():
+    code = ("import sys, grigtree.cli; "
+            "print('hashlib' in sys.modules, 'numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(gt.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False False"
+
+
+#: Output of the SplitMix64 counter stream of `closure._seed_bits`.
 SAMPLE_SHA256 = {
-    (0, 4): "a52e8bfcde3774c02f21ca773fc684c4241a9390d0fd121a68597e3dbf1a1d76",
-    (0, 9): "6a82db5baddc1d54494d9b680ff7a9750d1c8eae98fa6c4d0abb6a8d5213cfd5",
-    (0, 16): "4fe98a0fa7b53e8430734680aaf1736de65b39511f5648431fe89b20d808c8da",
-    (5, 4): "1a4b3cdeb503299d031fcf91c98f25431c741439e65d431af1df8e5dcb4fb45f",
-    (5, 9): "e3f92a3b4f3ecc5e6e000245b86e63d9dafb6d7f1c16cc3a851832e829599916",
-    (5, 16): "e9a4e493d9fffa017e0ee4ee8eeb40071217fbbbd9f9061a9ed8ba4ee2519ae9",
-    (12345, 4): "06287b84b01405451e532c1325cdc290c8dc7312cd19f434007f197c3ea62181",
-    (12345, 9): "0738527bdbb506408ae978ae938958ba6210829e093fd301eaf760b69b0faa47",
-    (12345, 16): "9d3fff651154e6346bcb0e3c4efc065700bcff5720fa95e22c5e6a7000aeb493",
+    (0, 4): "8e55ec28247270f9390604bf658ce8b04d9f5fb31cc50dbbd2f70e063d1a98e0",
+    (0, 9): "99d5436b2329772a09b81789295cab69c01be1d3b64941d05171ffb18ed6d534",
+    (0, 16): "c472b75a94df6a7580c3f575b80fdfd94c711ef3c3fb64654d211cfe2c6ca59c",
+    (5, 4): "5c7480f5b19b3dee9576fce847c06bdcffcfda38dcd6de7abe5371956cad4cc0",
+    (5, 9): "25ce14fb2bd12302571a6ef0344eaef9db2d5a2d31cec320ce2acdeb77e5a466",
+    (5, 16): "205431fdc74b25409f04748f1835476630be1b37b808fe71615840819f1d34ae",
+    (12345, 4): "7c65eb08927085c374c8a66fbe14bc02bd691fa65a5c6ff42feacddf6da4cb9a",
+    (12345, 9): "26c0fddc400f3fcf4ed6671c353719fe5f61325eb61326e0b151208de52fa91a",
+    (12345, 16): "8a84582508a2a2665e5fdbc3cefcdaa259bf6e59c8a85f03ce8f621e5dfaf405",
 }
 
 

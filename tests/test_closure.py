@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import grigtree as gt
 from grigtree import IDENTITY
+from grigtree.closure import _seed_bits
 
 words = st.text(alphabet="abcd", max_size=24)
 
@@ -260,6 +261,37 @@ def test_sample_is_depth_extensible():
 def test_sample_needs_depth_four():
     with pytest.raises(ValueError):
         gt.sample_closure_element(0, 3)
+
+
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64_mix(z):
+    """SplitMix64's output function on Python ints, masked to 64 bits."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def reference_seed_bit(seed, v):
+    """The drawn bit at vertex index v: the top bit of
+    mix64(mix64(seed) + (v + 1) * golden), all arithmetic mod 2^64."""
+    key = splitmix64_mix(seed)
+    return splitmix64_mix((key + (v + 1) * 0x9E3779B97F4A7C15) & MASK64) >> 63
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 1 << 63, (1 << 64) - 1])
+def test_seed_bits_match_a_python_splitmix64(seed):
+    for level in range(13):
+        first = (1 << level) - 1  # vertex index of the level's first vertex
+        expected = [reference_seed_bit(seed, first + i) for i in range(1 << level)]
+        assert _seed_bits(seed, level).tolist() == expected
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, 10 ** 30])
+def test_sample_rejects_seeds_outside_64_bits(seed):
+    with pytest.raises(ValueError, match="seed"):
+        gt.sample_closure_element(seed, 4)
 
 
 @given(st.integers(min_value=0, max_value=10 ** 9), st.integers(min_value=4, max_value=7))

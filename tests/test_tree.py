@@ -167,6 +167,11 @@ def test_distance_examples():
     assert not d3.exact and d3.value == Fraction(1, 256) and str(d3) == "<=1/256"
 
 
+def test_distance_cap_defaults_to_sixteen_levels():
+    g = gt.word_element("abdc")
+    assert gt.distance(g, g) == gt.Distance(16, exact=False)
+
+
 @given(words, words, words)
 @settings(max_examples=40)
 def test_distance_ultrametric(w1, w2, w3):
