@@ -46,14 +46,18 @@ def _read_file(path: str) -> str:
         raise DesignatorError(f"cannot read {path}: {exc.strerror}") from exc
 
 
+def _word_arg(word: str) -> str:
+    """A word argument, with "-" for the empty word (as _print_word prints it)."""
+    return check_word("" if word == "-" else word)
+
+
 def parse_element(spec: str):
     """Resolve an element designator to (automorphism, automaton-or-None)."""
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise DesignatorError(f"element designator {spec!r} needs a '<kind>:' prefix")
     if kind == "word":
-        word = "" if rest == "-" else rest
-        return word_element(check_word(word)), None
+        return word_element(_word_arg(rest)), None
     if kind == "kbar":
         word = "" if rest == "-" else rest
         return kbar_element(word), None
@@ -111,13 +115,12 @@ def _print_word(word: str) -> None:
 
 
 def cmd_reduce(args) -> int:
-    _print_word(reduce(check_word(args.word)))
+    _print_word(reduce(_word_arg(args.word)))
     return 0
 
 
 def cmd_decompose(args) -> int:
-    word = "" if args.word == "-" else args.word
-    check_word(word)
+    word = _word_arg(args.word)
     if args.depth is None:
         w0, w1, parity = decompose_word(word)
         print(f"0: {w0 or '-'}  1: {w1 or '-'}  sigma: {parity}")
@@ -232,12 +235,13 @@ def _large(what: str = f"portraits deeper than {MAX_DEPTH} levels"):
 
 
 _DEPTH = _arg("--depth", type=int, required=True)
+_WORD = _arg("word", help="word over abcd, '-' for the empty word")
 
 #: name: (help, handler, arguments as (flags, add_argument options)).
 COMMANDS = {
-    "reduce": ("reduce a generator word", cmd_reduce, [_arg("word")]),
+    "reduce": ("reduce a generator word", cmd_reduce, [_WORD]),
     "decompose": ("section words of a generator word", cmd_decompose, [
-        _arg("word"),
+        _WORD,
         _arg("--depth", type=int, default=None,
              help="print raw section words for all vertices up to this depth"),
         _large(f"--depth beyond {MAX_SECTION_DEPTH}")]),

@@ -32,12 +32,15 @@ times the golden-ratio increment, one array expression per level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .tree import Automorphism, Portrait, portrait_of, vertex_index, vertex_label
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "BetaProfile",
@@ -352,4 +355,5 @@ def hausdorff_estimate(n: int) -> Fraction:
     decoration bits, as an exact rational.  Tends to 5/8."""
     if n < 1:
         raise ValueError("estimate needs n >= 1")
+    from fractions import Fraction  # imported on use: it costs every process start
     return Fraction(free_bit_count(n), (1 << n) - 1)

@@ -21,13 +21,18 @@ dedupes its candidates: the generators are involutions, and a coset is
 never multiplied by a generator that leads back to the layer before,
 nor by b, c or d once one of them does (`enumerate_quotient` shows that
 no coset is lost, from the group relations alone, never the window
-constraints).  A candidate is tagged with its generator only: s*g is
-injective in g, so a coset's candidates carry distinct generators, and
-the first carries the least s with s*x in the layer before, which the
-pruning never drops.  So the BFS keeps only each layer's sorted keys,
-and a witness finds the same parent chain again, one binary search per
-letter.  Sets are deduplicated by sorting and comparing neighbours, and
-membership is a binary search.
+constraints).  The pruning reads only whether a leads back, and
+whether a alone does, so a candidate carries a two-bit tag: 1 if it was
+made by a, 2 if by b, c or d, and 0 marks a key of the frontier layer.
+Each layer is sorted in two halves, split at the key's top bit, the top
+vertex 1^(n-1): b, c and d fix that vertex and are inactive there, and a
+carries one bit of g onto it, so each product's half is known from its
+source.  A half sorts 32-bit values, the key without its top bit and the
+tag, and emitting half 0, then half 1, gives the layer in key order.  The
+BFS keeps only each layer's sorted keys; `witness` reads its rule, the
+first s in ALPHABET order that leads back a layer, from the layers, one
+binary search per letter.  Sets are deduplicated by sorting and
+comparing neighbours, and membership is a binary search.
 
 The admissible enumeration needs no sort.  It adds one level row at a
 time, in the highest bits of the key.  The admissible rows of a window
@@ -134,14 +139,16 @@ class QuotientSet(PortraitSet):
     with a shortest generator word as witness for each coset.
 
     Layer L of the BFS, the cosets at word length L, is the sorted slice
-    disc_keys[bounds[L]:bounds[L + 1]].  No parent is stored: the BFS
-    tags each candidate with its generator only, and `witness` reads the
-    parent chain off the layers.  A BFS finds each coset once, so the
-    discovery keys must be distinct.
+    disc_keys[bounds[L]:bounds[L + 1]].  No parent is stored: `witness`
+    reads the parent chain off the layers.  A BFS finds each coset once,
+    so the discovery keys must be distinct.  The sorted keys are
+    read-only.
     """
 
     def __init__(self, level, disc_keys, bounds):
-        super().__init__(level, disc_keys)
+        keys = np.sort(disc_keys)
+        keys.flags.writeable = False  # kept as they are if they strictly increase
+        super().__init__(level, keys)
         if len(self) != disc_keys.size:
             raise RuntimeError("the BFS discovered a coset twice")
         self._disc_keys = disc_keys
@@ -150,9 +157,9 @@ class QuotientSet(PortraitSet):
     def witness(self, item: Portrait | int) -> str:
         """A shortest generator word whose depth-n portrait is the given
         coset key.  Coset x of layer L > 0 is s times coset s*x of layer
-        L-1, for the first s in ALPHABET order that leads back there: the
-        generator of the BFS's first candidate for x.  So walking down the
-        layers reads the BFS's parent chain, from left to right."""
+        L-1, for the first s in ALPHABET order that leads back there, read
+        from the layers by one binary search per generator.  So walking
+        down the layers reads a parent chain, from left to right."""
         key = self.key_of(item)
         if _position(self.keys, key) is None:
             raise KeyError(f"key {key} not in quotient set")
@@ -204,15 +211,37 @@ def _left_tables(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(doubled(row[:16]) ^ key, doubled(row[16:])) for row, key in zip(*_generator_moves(n))]
 
 
-def _key_halves(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _key_halves(keys: np.ndarray, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
     """The low and high 16-bit halves of uint32 keys, as gather indices."""
-    return (np.bitwise_and(keys, 0xFFFF, dtype=np.intp),
-            np.right_shift(keys, 16, dtype=np.intp))
+    return (np.bitwise_and(keys, 0xFFFF, out=out[0], dtype=np.intp),
+            np.right_shift(keys, 16, out=out[1], dtype=np.intp))
 
 
 def _left_product(halves, table, out=None) -> np.ndarray:
-    """key(s*g) for one generator s, given the key halves of each g."""
-    return np.bitwise_xor(table[0].take(halves[0]), table[1].take(halves[1]), out=out)
+    """table[0][low] ^ table[1][high] for the key halves (low, high) of
+    each g, as `_key_halves` gives them: key(s*g) for the tables of s."""
+    out = table[0].take(halves[0], out=out, mode="clip")  # in range: no index copy
+    return np.bitwise_xor(out, table[1].take(halves[1], mode="clip"), out=out)
+
+
+def _bfs_tables(n: int) -> tuple[int, int, int, list[tuple[np.ndarray, np.ndarray]]]:
+    """(top, p, flip, tables) for a BFS that splits each layer at bit
+    `top`, the top vertex 1^(n-1), and sorts each half as uint32 values
+    (key & (2^top - 1)) << 2 | tag.  b, c and d fix the top vertex and
+    are inactive there, so their products stay in their source's half.
+    a carries bit p of g onto it, so a*g lies in the half of bit p of g,
+    xor flip, a's activity there (1 only at level 1, where it is the
+    root).  tables[s] are `_left_tables(n)[s]` with the top bit cleared,
+    the shift and the tag of s (1 for a, 2 for b, c and d) folded in, so
+    `_left_product` writes the sort value of s*g."""
+    moved, shift = _generator_moves(n)
+    top = moved.shape[1] - 1
+    high = np.uint32(1 << top)
+    assert all(moved[s, top] == high and not shift[s] & high for s in (1, 2, 3))
+    (p,) = np.flatnonzero(moved[0] == high)
+    tables = [(((low & (high - 1)) << 2) | tag, (hi & (high - 1)) << 2)
+              for (low, hi), tag in zip(_left_tables(n), (1, 2, 2, 2))]
+    return top, int(p), int(shift[0] >> top), tables
 
 
 #: The least size of a BFS buffer.  glibc maps every block this large
@@ -242,56 +271,90 @@ def enumerate_quotient(n: int) -> QuotientSet:
     c and d only if R(g) holds none of them.  So no product lies in
     layer L-1.  A dropped b, c or d product t*g is (t*u)*(u*g) for a u
     of b, c, d in R(g), where t*u is 1 or one of b, c, d (bcd = 1), so
-    it lies in layer L-2, L-1 or L: no coset is lost, and no first
-    candidate changes.
+    it lies in layer L-2, L-1 or L: no coset is lost.
+
+    Each layer is found as two halves, split at the top bit of the key
+    (`_bfs_tables`): half 0, then half 1, which is the layer in key
+    order.  A half sorts the uint32 values of its frontier keys (tag 0)
+    and of its candidates (tag 1 from a, 2 from b, c or d).  A run of
+    equal keys is fresh unless it starts with tag 0; then a is in R(g)
+    iff its first tag is 1, and R(g) = {a} iff it holds one candidate.
+    At level 5 the BFS makes 7,533,446 candidates (one `_left_product`
+    entry each) and sorts 11,727,750 values, the candidates and each
+    coset once as frontier.
     """
     _check_level(n)
-    tables = _left_tables(n)
+    top, p, flip, tables = _bfs_tables(n)
+    high = np.uint32(1 << top)
+    # bit p of g in its sort value (at level 1 bit p is the top bit: g's half)
+    route = np.uint32(4 << p if p < top else 0)
     # cosets in discovery order, a layer at a time; the frontier is [start, end)
     disc_keys = np.zeros(1, dtype=np.uint32)
     bounds = [0]
-    # (frontier slots, generators to multiply them by); a is generator 0,
-    # and the identity is multiplied by all four
-    expansions = [(np.zeros(1, dtype=np.intp), (0, 1, 2, 3))]
-    tagged, first = np.empty(0, dtype="<u8"), np.empty(0, dtype=bool)
+    # sources[h]: (keys, generators to multiply them by) whose products lie
+    # in half h; the identity is multiplied by all four
+    sources = ([], [])
+    sources[flip].append((disc_keys[:1], (0,)))
+    sources[0].append((disc_keys[:1], (1, 2, 3)))
+    values, runs = np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint32)
+    tags, first = np.empty(0, dtype=np.uint8), np.empty(0, dtype=bool)
+    low, hi = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     start, end = 0, 1
     while end > start:
         bounds.append(end)
-        frontier, size = disc_keys[start:end], end - start
-        # sort (key, tag) pairs, each one little-endian uint64 with the key
-        # in the high half: frontier keys carry tag 0, candidates their
-        # generator + 1.  A run of equal keys is fresh unless it starts with
-        # tag 0, and then its first tag is its least generator.
-        total = size + sum(slots.size * len(g) for slots, g in expansions)
-        tagged, first = _grow(tagged, total), _grow(first, total + 1)
-        pairs = tagged[:total].view("<u4").reshape(-1, 2)
-        pairs[:size, 1] = frontier
-        pairs[:size, 0] = 0
-        at = size
-        for slots, generators in expansions:
-            k = slots.size
-            halves = _key_halves(frontier.take(slots))
-            for g in generators:
-                _left_product(halves, tables[g], out=pairs[at:at + k, 1])
-                pairs[at:at + k, 0] = g + 1
-                at += k
-        tagged[:total].sort()
-        # first[i]: entry i starts a run; a fresh run of one candidate
-        # tells R(g) = {its generator}
-        first[0] = first[total] = True
-        np.not_equal(pairs[1:, 1], pairs[:-1, 1], out=first[1:total])
-        fresh = np.flatnonzero(np.logical_and(first[:total], pairs[:, 0]))
-        new = end + fresh.size
-        if new > 1 << ((1 << n) - 1):  # more cosets than keys: a key came back
-            raise RuntimeError("the BFS discovered a coset twice")
-        disc_keys = _grow(disc_keys, new, end)
-        chosen = tagged.take(fresh).view("<u4").reshape(-1, 2)
-        disc_keys[end:new] = chosen[:, 1]
-        by_a = chosen[:, 0] == 1
-        expansions = [(np.flatnonzero(~by_a), (0,)),
-                      (np.flatnonzero(by_a & first[1:].take(fresh)), (1, 2, 3))]
-        start, end = end, new
-    del tagged, pairs, first, tables  # unmapped before QuotientSet sorts a copy of the keys
+        mid = start + int(disc_keys[start:end].searchsorted(high))
+        new, after = end, ([], [])
+        for h, frontier in enumerate((disc_keys[start:mid], disc_keys[mid:end])):
+            size = frontier.size
+            total = size + sum(keys.size * len(gens) for keys, gens in sources[h])
+            if not total:
+                continue
+            values = _grow(values, total)
+            np.bitwise_and(frontier, high - 1, out=values[:size])
+            np.left_shift(values[:size], 2, out=values[:size])
+            at = size
+            for keys, generators in sources[h]:
+                k = keys.size
+                low, hi = _grow(low, k), _grow(hi, k)
+                halves = _key_halves(keys, out=(low[:k], hi[:k]))
+                for g in generators:
+                    _left_product(halves, tables[g], out=values[at:at + k])
+                    at += k
+            vals = values[:total]
+            vals.sort()
+            # first[i]: entry i starts a run of equal keys; a fresh run
+            # starts with a tag that is not 0
+            runs, tags, first = _grow(runs, total), _grow(tags, total), _grow(first, total + 1)
+            np.right_shift(vals, 2, out=runs[:total])
+            first[0] = first[total] = True
+            np.not_equal(runs[1:total], runs[:total - 1], out=first[1:total])
+            np.bitwise_and(vals, 3, out=tags[:total], casting="unsafe")
+            fresh = np.minimum(tags[:total], first[:total].view(np.uint8), out=tags[:total])
+            at = np.flatnonzero(fresh.view(bool))  # 0 or 1, so a bool view
+            count = at.size
+            if new + count > 1 << (top + 1):  # more cosets than keys: a key came back
+                raise RuntimeError("the BFS discovered a coset twice")
+            disc_keys = _grow(disc_keys, new + count, new)
+            keys = disc_keys[new:new + count]
+            chosen = vals.take(at)
+            np.right_shift(chosen, 2, out=keys)
+            if h:
+                np.bitwise_or(keys, high, out=keys)
+            new += count
+            # tag 2: a is not in R(g), so g is multiplied by a, into half
+            # (bit p of g) ^ flip
+            pick = np.bitwise_and(chosen, 2 | route, out=chosen)
+            for t in (0, 1):
+                if route or t == h ^ flip:
+                    a_to_t = pick == (2 | route * (t ^ flip))
+                    after[t].append((keys.take(np.flatnonzero(a_to_t)), (0,)))
+            # tag 1 and one candidate: R(g) = {a}, so g is multiplied by b, c, d
+            single = first[1:total + 1].take(at)
+            np.bitwise_and(pick, 2, out=pick)
+            after[h].append((keys.take(np.flatnonzero(np.greater(single, pick))), (1, 2, 3)))
+        start, end, sources = end, new, after
+    # unmapped before QuotientSet sorts a copy of the keys
+    del values, runs, tags, first, low, hi, tables, vals, halves, fresh
     return QuotientSet(n, disc_keys[:end], bounds)
 
 

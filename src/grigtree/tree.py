@@ -45,11 +45,13 @@ vertex, in one of three ways:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def check_vertex(u: str) -> str:
@@ -438,6 +440,7 @@ class Distance:
 
     @property
     def value(self) -> Fraction:
+        from fractions import Fraction  # imported on use: it costs every process start
         return Fraction(1, 1 << self.exponent)
 
     def __str__(self) -> str:

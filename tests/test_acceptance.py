@@ -17,7 +17,7 @@ import pytest
 
 import grigtree as gt
 from grigtree.cli import main
-from test_oracle import layer_parents
+from test_oracle import LAYER_SIZES, layer_parents
 
 FIGURE_ROWS = (
     (1,),
@@ -155,6 +155,8 @@ def test_criterion_08_dimension_convergence(criterion, quotient4):
         assert peak_mib < 1024.0
         assert np.array_equal(quotient5.keys,
                               gt.enumerate_admissible_decorations(5).keys)
+        sizes = np.diff(quotient5._bounds).tolist()
+        assert sizes == LAYER_SIZES[5] and max(sizes) == sizes[39] == 293_308
         # the discovery keys and the parent chains their layers give (hence
         # every witness word) are pinned
         digest = hashlib.sha256()

@@ -26,6 +26,16 @@ def test_reduce(capsys):
     assert run(capsys, "reduce", "") == (0, "-\n", "")
 
 
+def test_reduce_reads_dash_as_the_empty_word(capsys):
+    # reduce prints "-" for the empty word, and reads it back
+    assert run(capsys, "reduce", "-") == (0, "-\n", "")
+    assert run(capsys, "reduce", "abba") == (0, "-\n", "")
+    assert run(capsys, "reduce", "-") == run(capsys, "reduce", "")
+    for word in ("aabd", "abab", "dc", "abacabad"):
+        code, out, _ = run(capsys, "reduce", word)
+        assert run(capsys, "reduce", out.strip()) == (code, out, "")
+
+
 def test_decompose_single_level(capsys):
     code, out, err = run(capsys, "decompose", "abdabac")
     assert (code, err) == (0, "")
@@ -186,13 +196,14 @@ def test_sample_rejects_seeds_outside_64_bits(capsys, seed):
     assert err.startswith("error:") and "2^64" in err
 
 
-def test_cli_import_does_not_load_hashlib_or_numpy_random():
-    code = ("import sys, grigtree.cli; "
-            "print('hashlib' in sys.modules, 'numpy.random' in sys.modules)")
+def test_cli_import_loads_no_hashlib_numpy_random_or_fractions():
+    # each would cost every process start; fractions is imported on use
+    code = ("import sys, grigtree.cli; print(*(m in sys.modules for m in "
+            "('hashlib', 'numpy.random', 'fractions', 'decimal')))")
     env = dict(os.environ, PYTHONPATH=str(Path(gt.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.split() == ["False"] * 4
 
 
 #: Output of the SplitMix64 counter stream of `closure._seed_bits`.

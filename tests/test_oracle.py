@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 import grigtree as gt
 from grigtree import Portrait, TruncationAutomorphism
 from grigtree.closure import _row_cosets, _window_rows
-from grigtree.oracle import QuotientSet, _key_halves, _left_product, _left_tables
+from grigtree.oracle import (QuotientSet, _generator_moves, _key_halves, _left_product,
+                             _left_tables)
+from grigtree.tree import vertex_index, vertex_label
 
 
 def key_width_bytes(level):
@@ -316,6 +318,59 @@ def test_generator_steps_are_involutions(case):
     for table in TABLES[n]:
         once = _left_products(keys, [table])[0]
         assert np.array_equal(_left_products(once, [table])[0], keys)
+
+
+#: The BFS layer sizes, |layer L| for word length L = 0, 1, ...
+LAYER_SIZES = {
+    3: [1, 4, 6, 12, 16, 20, 24, 28, 17],
+    4: [1, 4, 6, 12, 17, 28, 40, 68, 92, 132, 168, 236, 291, 356, 436, 556, 493, 308,
+        282, 268, 182, 60, 35, 20, 5],
+    5: [1, 4, 6, 12, 17, 28, 40, 68, 95, 156, 216, 356, 488, 772, 1054, 1660, 2218, 3332,
+        4450, 6700, 8773, 12716, 16538, 23924, 30161, 40820, 51444, 69836, 85796, 112372,
+        138708, 182684, 202815, 216828, 240300, 267940, 278748, 282052, 290753, 293308,
+        271007, 228380, 210627, 186868, 148625, 95804, 73495, 53044, 31765, 13004, 7305,
+        4020, 1495, 368, 193, 96, 19],
+}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_bfs_layer_sizes(n, quotient4):
+    # level 5 is checked in criterion 8, on its one level-5 BFS
+    q = quotient4 if n == 4 else gt.enumerate_quotient(n)
+    assert np.diff(q._bounds).tolist() == LAYER_SIZES[n]
+    assert sum(LAYER_SIZES[n]) == len(q)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_generator_moves_keep_the_top_vertex_but_for_a(n):
+    # enumerate_quotient splits each layer at the bit of the top vertex
+    # 1^(n-1), and routes a product by these two facts
+    moved, shift = _generator_moves(n)
+    top = (1 << n) - 2
+    assert vertex_label(top) == "1" * (n - 1)
+    high = 1 << top
+    for s in (1, 2, 3):  # b, c and d fix it and are inactive there
+        assert moved[s, top] == high and not shift[s] & high
+    # a carries the bit of vertex 01^(n-2) onto it, and is active there
+    # only at level 1, where the top vertex is the root
+    below = vertex_index("0" + "1" * (n - 2)) if n > 1 else top
+    assert moved[0, below] == high
+    assert bool(shift[0] & high) == (n == 1)
+
+
+@pytest.mark.parametrize("n, candidates", [(3, 196), (4, 7_082)])
+def test_bfs_candidate_count_is_gated(n, candidates, monkeypatch):
+    # every candidate is one _left_product entry (7,533,446 at level 5)
+    counted = []
+    product = _left_product
+
+    def counting(halves, table, out=None):
+        counted.append(halves[0].size)
+        return product(halves, table, out)
+
+    monkeypatch.setattr("grigtree.oracle._left_product", counting)
+    cosets = len(gt.enumerate_quotient(n))
+    assert cosets - 1 <= sum(counted) <= candidates  # each coset but 1 is a candidate
 
 
 def test_quotient_set_rejects_a_coset_found_twice():
