@@ -3,8 +3,7 @@
     python3 scripts/ab.py REV_A REV_B --workload W --pairs N [--seed S]
 
 Each revision is extracted with `git archive` into a temporary directory
-(nothing is written into .git); a revision that names a directory is used
-as it stands, so a working tree can be compared.  Pair i runs
+(nothing is written into .git).  Pair i runs
 `perfbench/run.py --workload W --seed S+i --trace 0` on both sides, A first
 in even pairs and B first in odd ones, each run from its own checkout.
 For every end-to-end metric of BENCHMARK.json it prints the median and
@@ -29,17 +28,17 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def checkout(rev: str, tmp: str) -> tuple[str, str]:
-    """(directory, label) of the revision, extracted under tmp unless it is a directory."""
-    if os.path.isdir(rev):
-        return os.path.abspath(rev), os.path.abspath(rev)
+    """(directory, label) of the revision, extracted under tmp."""
     commit = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", rev + "^{commit}"],
                             capture_output=True, text=True, check=True).stdout.strip()
     tar = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", commit],
                          capture_output=True, check=True).stdout
     path = os.path.join(tmp, commit)
     if not os.path.isdir(path):
+        # extraction filters exist from Python 3.10.12 and 3.11.4 on
+        safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
         with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-            archive.extractall(path, filter="data")
+            archive.extractall(path, **safe)
     return path, f"{rev} ({commit[:12]})"
 
 
@@ -69,18 +68,22 @@ def summarize(a: list[float], b: list[float], lower_is_better: bool = True) -> d
 
 
 def main(argv=None) -> int:
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("rev_a")
     parser.add_argument("rev_b")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--pairs", type=int, default=6)
     parser.add_argument("--seed", type=int, default=0, help="seed of the first pair")
     args = parser.parse_args(argv)
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        spec = json.load(fh)
     metrics = spec["end_to_end"]
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
-        (path_a, label_a), (path_b, label_b) = (checkout(r, tmp) for r in (args.rev_a, args.rev_b))
+        try:
+            (path_a, label_a), (path_b, label_b) = (checkout(r, tmp)
+                                                    for r in (args.rev_a, args.rev_b))
+        except subprocess.CalledProcessError as exc:
+            parser.error(f"cannot extract a revision: {exc.stderr.strip() or exc}")
         print(f"A = {label_a}\nB = {label_b}\nworkload {args.workload}, seeds "
               f"{args.seed}..{args.seed + args.pairs - 1}, pair i at seed {args.seed} + i")
         runs = {"A": [], "B": []}
@@ -105,13 +108,13 @@ def main(argv=None) -> int:
     if runs["A"]:
         print(f"{'metric':14s} {'A median [q1-q3]':>28s} {'B median [q1-q3]':>28s}"
               f" {'B/A':>6s} {'B better':>9s}")
-    for m in metrics if runs["A"] else []:
-        name = m["name"]
-        s = summarize([r[name] for r in runs["A"]], [r[name] for r in runs["B"]],
-                      m["better"] == "lower")
-        a, b = (f"{q[1]:.4g} [{q[0]:.4g}-{q[2]:.4g}]" for q in (s["a"], s["b"]))
-        print(f"{name:14s} {a:>28s} {b:>28s} {s['ratio']:6.3f}"
-              f" {s['wins']:>4d}/{s['pairs']}")
+        for m in metrics:
+            name = m["name"]
+            s = summarize([r[name] for r in runs["A"]], [r[name] for r in runs["B"]],
+                          m["better"] == "lower")
+            a, b = (f"{q[1]:.4g} [{q[0]:.4g}-{q[2]:.4g}]" for q in (s["a"], s["b"]))
+            print(f"{name:14s} {a:>28s} {b:>28s} {s['ratio']:6.3f}"
+                  f" {s['wins']:>4d}/{s['pairs']}")
     if failed:
         print(f"{failed} of {args.pairs} pairs had a failed run", file=sys.stderr)
     return 1 if failed or not runs["A"] else 0

@@ -355,5 +355,5 @@ def hausdorff_estimate(n: int) -> Fraction:
     decoration bits, as an exact rational.  Tends to 5/8."""
     if n < 1:
         raise ValueError("estimate needs n >= 1")
-    from fractions import Fraction  # imported on use: it costs every process start
+    from fractions import Fraction  # here, not at import: it would cost every process start
     return Fraction(free_bit_count(n), (1 << n) - 1)

@@ -329,8 +329,8 @@ def enumerate_quotient(n: int) -> QuotientSet:
             first[0] = first[total] = True
             np.not_equal(runs[1:total], runs[:total - 1], out=first[1:total])
             np.bitwise_and(vals, 3, out=tags[:total], casting="unsafe")
-            fresh = np.minimum(tags[:total], first[:total].view(np.uint8), out=tags[:total])
-            at = np.flatnonzero(fresh.view(bool))  # 0 or 1, so a bool view
+            np.minimum(tags[:total], first[:total].view(np.uint8), out=tags[:total])
+            at = np.flatnonzero(tags[:total].view(bool))  # 0 or 1 now: a bool view
             count = at.size
             if new + count > 1 << (top + 1):  # more cosets than keys: a key came back
                 raise RuntimeError("the BFS discovered a coset twice")
@@ -354,7 +354,7 @@ def enumerate_quotient(n: int) -> QuotientSet:
             after[h].append((keys.take(np.flatnonzero(np.greater(single, pick))), (1, 2, 3)))
         start, end, sources = end, new, after
     # unmapped before QuotientSet sorts a copy of the keys
-    del values, runs, tags, first, low, hi, tables, vals, halves, fresh
+    del values, runs, tags, first, low, hi, tables, vals, halves
     return QuotientSet(n, disc_keys[:end], bounds)
 
 

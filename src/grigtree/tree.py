@@ -440,7 +440,7 @@ class Distance:
 
     @property
     def value(self) -> Fraction:
-        from fractions import Fraction  # imported on use: it costs every process start
+        from fractions import Fraction  # here, not at import: it would cost every process start
         return Fraction(1, 1 << self.exponent)
 
     def __str__(self) -> str:
