@@ -16,7 +16,6 @@ other) are decided by one linear backward search, `_backward`.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -116,7 +115,7 @@ def parse_automaton(text: str) -> MealyAutomaton:
             continue
         name, sep, rest = line.partition(":")
         fields = rest.split()
-        if not sep or not name.strip() or len(fields) != 3 or fields[0] not in "01":
+        if not sep or not name.strip() or len(fields) != 3 or fields[0] not in ("0", "1"):
             raise ValueError(f"line {lineno}: expected '<name>: <0|1> <next0> <next1>'")
         name = name.strip()
         if name in transitions:
@@ -202,37 +201,25 @@ def _parses_as_conjugate_product(word: str) -> bool:
     """Does the word split into blocks reverse(w) + "abab" + w?
 
     The arm of an "abab" at p is the largest m with word[p-1-j] ==
-    word[p+4+j] for all j < m, and it opens a block at i <= p iff p - i
-    is at most its arm.  Depth-first search over block starts, shortest
-    block first, scanning occurrences up to the largest arm past the
-    start and remembering the starts from which no split reaches the end.
+    word[p+4+j] for all j < m, and it opens a block at i <= p, ending at
+    2p-i+4, iff p - i is at most its arm.  One pass over the occurrences
+    in increasing order marks the ends of blocks that start at a split
+    point.  A block ending at i has its "abab" at or before i-4, so every
+    split point at or before p is marked before p is read.
     """
     n = len(word)
-    abab = [p for p in range(n - 3) if word.startswith("abab", p)]
-    arms = []
-    for p in abab:
+    split = bytearray(n + 1)  # split[i]: word[:i] splits into blocks
+    split[0] = 1
+    p = word.find("abab")
+    while p >= 0:
         m, top = 0, min(p, n - p - 4)
         while m < top and word[p - 1 - m] == word[p + 4 + m]:
             m += 1
-        arms.append(m)
-    reach = max(arms, default=0)
-    dead: set[int] = set()
-    stack = [(0, 0)]  # (block start, index of the next abab occurrence to try)
-    while stack:
-        i, k = stack[-1]
-        if i == n:
-            return True
-        for k in range(k, bisect_right(abab, i + reach)):
-            p = abab[k]
-            end = 2 * p - i + 4
-            if p - i <= arms[k] and end not in dead:
-                stack[-1] = (i, k + 1)
-                stack.append((end, bisect_left(abab, end)))
-                break
-        else:
-            dead.add(i)
-            stack.pop()
-    return False
+        for i in range(p - m, p + 1):
+            if split[i]:
+                split[2 * p - i + 4] = 1
+        p = word.find("abab", p + 1)
+    return bool(split[n])
 
 
 def _check_k_shape(word: str) -> None:

@@ -467,11 +467,22 @@ def _key_dtype(level: int) -> np.dtype:
     raise ValueError(f"level {level} too deep for the cache format")
 
 
+def _check_keys_fit(level: int, sorted_keys: np.ndarray) -> None:
+    """Reject sorted keys whose largest needs more than the 2^level - 1 bits of the level."""
+    bits = (1 << level) - 1
+    if sorted_keys.size and int(sorted_keys[-1]) >> bits:
+        raise ValueError(
+            f"portrait cache key {int(sorted_keys[-1])} does not fit in the "
+            f"{bits} bits of level {level}")
+
+
 def save_portrait_set(path, pset: PortraitSet) -> None:
     """Write a flat binary cache: 8-byte header (level, count, both
     little-endian uint32), then the sorted keys at the fixed width the
-    level requires (1, 2 or 4 bytes)."""
+    level requires (1, 2 or 4 bytes).  A key too wide for the level is
+    rejected before the file is opened."""
     dtype = _key_dtype(pset.level)
+    _check_keys_fit(pset.level, pset.keys)
     with open(path, "wb") as fh:
         fh.write(struct.pack("<II", pset.level, len(pset)))
         fh.write(memoryview(np.ascontiguousarray(pset.keys.astype(dtype, copy=False))))
@@ -505,9 +516,5 @@ def load_portrait_set(path) -> PortraitSet:
     pset = PortraitSet(level, keys)  # keeps read-only keys exactly when they increase
     if pset.keys is not keys:
         raise ValueError("portrait cache keys are not sorted ascending")
-    bits = (1 << level) - 1
-    if count and int(keys[-1]) >> bits:
-        raise ValueError(
-            f"portrait cache key {int(keys[-1])} does not fit in the "
-            f"{bits} bits of level {level}")
+    _check_keys_fit(level, keys)
     return pset

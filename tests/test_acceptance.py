@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import grigtree as gt
+from grigtree import oracle
 from grigtree.cli import main
 from test_oracle import LAYER_SIZES, layer_parents
 
@@ -146,13 +147,27 @@ def test_criterion_08_dimension_convergence(criterion, quotient4):
         for n in (1, 2, 3):
             assert len(gt.enumerate_quotient(n)) == 2 ** gt.free_bit_count(n)
         assert len(quotient4) == 2 ** gt.free_bit_count(4)
-        start = time.perf_counter()
-        quotient5 = gt.enumerate_quotient(5)
-        elapsed = time.perf_counter() - start
+        counted = []
+        product = oracle._left_product
+
+        def counting(halves, table, out=None):
+            counted.append(halves[0].size)
+            return product(halves, table, out)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_left_product", counting)
+            start = time.perf_counter()
+            quotient5 = gt.enumerate_quotient(5)
+            elapsed = time.perf_counter() - start
         peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         assert len(quotient5) == 2 ** gt.free_bit_count(5) == 4_194_304
         assert elapsed < 120.0
         assert peak_mib < 1024.0
+        # a work gate: one _left_product entry per candidate, and every coset
+        # but the identity is a candidate; the candidates and the 4,194,304
+        # cosets (each sorted once as frontier) are the 11,727,750 sorted values
+        assert len(quotient5) - 1 <= sum(counted) <= 7_533_446
+        assert len(counted) <= 475
         assert np.array_equal(quotient5.keys,
                               gt.enumerate_admissible_decorations(5).keys)
         sizes = np.diff(quotient5._bounds).tolist()

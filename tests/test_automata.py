@@ -5,7 +5,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import grigtree as gt
 from grigtree import IDENTITY
@@ -115,6 +115,8 @@ def test_parse_automaton_errors():
         gt.parse_automaton("a: 1 a a\na: 0 a a\n")
     with pytest.raises(ValueError):
         gt.parse_automaton("a: x a a\n")
+    with pytest.raises(ValueError):
+        gt.parse_automaton("a: 01 a a\n")
 
 
 def test_recursion_system_validation():
@@ -295,7 +297,8 @@ def test_k_shape_rejection_of_long_words_is_not_quadratic():
         with pytest.raises(ValueError):
             gt.kbar_element(bad)
     # each took about a second when every dead block start rescanned all
-    # later "abab" occurrences; arm pruning takes about 10 ms
+    # later "abab" occurrences; one forward pass reads each occurrence
+    # once and each start within its arm once, in a few ms
     assert time.perf_counter() - start < 0.5
 
 
@@ -310,10 +313,9 @@ def _parses_by_recursion(word):
         for half in range((len(word) - 4) // 2 + 1))
 
 
-@given(st.lists(st.text(alphabet="abcd", max_size=3), max_size=3),
-       st.integers(min_value=0, max_value=40), st.sampled_from("abcd-"))
-def test_k_shape_check_matches_the_defining_recursion(conjugators, at, edit):
-    word = gt.k_word(conjugators)
+def _check_shape_verdict(word, at=0, edit="-"):
+    """Put edit at word[at] ("-" for no edit), then compare kbar_element's
+    verdict on the word with the defining recursion."""
     if edit != "-" and word:
         at %= len(word)
         word = word[:at] + edit + word[at + 1:]
@@ -325,14 +327,33 @@ def test_k_shape_check_matches_the_defining_recursion(conjugators, at, edit):
     assert accepted == _parses_by_recursion(word)
 
 
+@given(st.lists(st.text(alphabet="abcd", max_size=3), max_size=3),
+       st.integers(min_value=0, max_value=40), st.sampled_from("abcd-"))
+def test_k_shape_check_matches_the_defining_recursion(conjugators, at, edit):
+    _check_shape_verdict(gt.k_word(conjugators), at, edit)
+
+
 @given(st.text(alphabet="ab", max_size=16))
 def test_k_shape_check_on_ab_words(word):
-    try:
-        gt.kbar_element(word)
-        accepted = True
-    except ValueError:
-        accepted = False
-    assert accepted == _parses_by_recursion(word)
+    _check_shape_verdict(word)
+
+
+# conjugators that hold an "abab" of their own, so that a block's arm
+# spans other occurrences, wrapped in a second k_word
+_ab_conjugators = st.text(alphabet="ab", max_size=8)
+_nested_conjugators = st.one_of(
+    _ab_conjugators, st.lists(_ab_conjugators, min_size=1, max_size=2).map(gt.k_word))
+
+
+@given(st.lists(_nested_conjugators, max_size=3),
+       st.integers(min_value=0, max_value=40), st.sampled_from("abcd-"))
+@example(["", "", "b"], 0, "-")  # the second "abab" has split points 0 and 4 in its arm
+@example([gt.k_word(["ab"]), "b"], 0, "-")
+def test_k_shape_check_on_nested_conjugators(conjugators, at, edit):
+    blocks = [gt.k_word([w]) for w in conjugators]
+    while len("".join(blocks)) > 40:  # keeps the recursion cheap
+        blocks.pop()
+    _check_shape_verdict("".join(blocks), at, edit)
 
 
 def test_cli_import_does_not_load_networkx():

@@ -1,7 +1,9 @@
+import ast
 import random
 import re
 import struct
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import grigtree as gt
-from grigtree import Portrait, TruncationAutomorphism
+from grigtree import Portrait, TruncationAutomorphism, closure, oracle
 from grigtree.closure import _row_cosets, _window_rows
 from grigtree.oracle import (QuotientSet, _generator_moves, _key_halves, _left_product,
                              _left_tables)
@@ -373,6 +375,43 @@ def test_bfs_candidate_count_is_gated(n, candidates, monkeypatch):
     assert cosets - 1 <= sum(counted) <= candidates  # each coset but 1 is a candidate
 
 
+def _named(code: types.CodeType) -> set[str]:
+    """The global and attribute names a code object uses, nested ones included."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _named(const)
+    return names
+
+
+def _defined_names(module) -> set[str]:
+    """The names that a module's own top-level statements bind, imports excluded."""
+    names = set()
+    for node in ast.parse(Path(module.__file__).read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_group_side_names_nothing_from_closure():
+    # the BFS and the witness descent are derived from the tree action
+    # only, so that their agreement with the window constraints means
+    # something; the two constraint-side functions show the walk sees a use
+    defined = _defined_names(closure)
+    assert {"_failing_windows", "_row_cosets", "CONSTRAINT_TABLE"} <= defined
+    group_side = [oracle.enumerate_quotient, oracle.QuotientSet.__init__,
+                  oracle.QuotientSet.witness, oracle._generator_moves.__wrapped__,
+                  oracle._left_tables, oracle._bfs_tables, oracle._left_product,
+                  oracle._key_halves, oracle._grow]
+    for function in group_side:
+        assert not _named(function.__code__) & defined, function.__qualname__
+    assert _named(oracle.verify_window_constraints.__code__) & defined == {"_failing_windows"}
+    assert _named(oracle.enumerate_admissible_decorations.__code__) & defined == {"_row_cosets"}
+
+
 def test_quotient_set_rejects_a_coset_found_twice():
     disc = np.array([0, 3, 1, 3], dtype=np.uint32)
     with pytest.raises(RuntimeError, match="twice"):
@@ -483,6 +522,17 @@ def test_save_load_round_trip(tmp_path, quotient4):
         loaded = gt.load_portrait_set(path)
         assert loaded.level == pset.level
         assert np.array_equal(loaded.keys, pset.keys)
+
+
+@pytest.mark.parametrize("level, key", [(4, 70000), (4, 1 << 15), (3, 1 << 7)])
+def test_save_rejects_a_key_too_wide_for_the_level(tmp_path, level, key):
+    path = tmp_path / "wide.bin"
+    pset = gt.PortraitSet(level, np.array([1, key], dtype=np.uint32))
+    bits = (1 << level) - 1
+    with pytest.raises(ValueError, match=f"^portrait cache key {key} does not fit "
+                                         f"in the {bits} bits of level {level}$"):
+        gt.save_portrait_set(path, pset)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("keys", [[], [7], [1, 5, 9], [9, 1, 5], [1, 5, 5, 9], [5, 5]])
