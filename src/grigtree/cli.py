@@ -93,9 +93,12 @@ MAX_SECTION_DEPTH = 18
 #: prints 9.7 MB in about 0.6 s, level 8000 39 MB in 2.3 s.
 MAX_HAUSDORFF_LEVEL = 4000
 #: Most `verify` work without --large, in letters: samples x (max_len +
-#: WORD_LETTERS), as a word costs about as much as 8 letters.  At this
-#: bound, one word of up to 2,000,000 letters takes about 1.6 s, 20,000
-#: words of up to 100 about 1.5 s; the default 1000 x 100 is 20 times below.
+#: WORD_LETTERS), a word being charged as 8 letters.  With the letters
+#: drawn in bulk, a letter costs about 0.15 us and a word about 3 us before
+#: its letters (some 20 letters' worth), so the charge is low, but it
+#: keeps the bound below a second: one word of up to 2,000,000 letters
+#: takes at most about 0.35 s, 18,500 words of up to 100 about 0.55 s and
+#: 250,000 empty words about 0.85 s; the default 1000 x 100 is 20 times below.
 VERIFY_LETTERS = 2_000_000
 WORD_LETTERS = 8
 _VERIFY_WORK = f"--samples x (--max-len + {WORD_LETTERS})"

@@ -43,9 +43,14 @@ order and emitting, for each, its class of keys (ascending) gives keys
 that already increase.  A cache is read with one call into the key
 array.
 
-The random-word check builds the depth-8 rows of a chunk of sampled
-words from one state table, so sections the words share are expanded
-once, and scores all windows of the chunk in one pass.
+The random-word check draws its words from blocks of raw Mersenne
+Twister outputs (`words._word_drawer`), the same words, in the same
+order, as one `rng.choice` per letter: it replays CPython's `getrandbits`
+output order and the rejection rules of `randint` and `choice`, so the
+sampled words are tied to CPython's `random` internals.  It builds the
+depth-8 rows of a chunk of sampled words from one state table, so
+sections the words share are expanded once, and scores all windows of
+the chunk in one pass.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ import numpy as np
 
 from .closure import _failing_windows, _row_cosets
 from .tree import Portrait, _table_rows, apply, portrait_of, vertex_index, vertex_label
-from .words import ALPHABET, word_element
+from .words import ALPHABET, _word_drawer, word_element
 
 __all__ = [
     "PortraitSet",
@@ -437,6 +442,14 @@ def verify_window_constraints(samples: int, max_len: int, seed: int = 0) -> Veri
     window of the portrait to depth 8 is admissible.  Any counterexample
     word is listed in the report, in sample order; none is expected.
 
+    The words are those that `random.Random(seed)` gives by drawing each
+    length with `randint(0, max_len)` and then each letter with
+    `choice(ALPHABET)`.  `words._word_drawer` builds them from blocks of
+    raw outputs, replaying CPython's `getrandbits` output order and the
+    rejection rules of `randint` and `choice`, so the sampled words are
+    tied to CPython's `random` internals, as the pinned output of
+    `verify` already is.
+
     The words of each chunk of VERIFY_CHUNK samples share one state table
     (`tree._table_rows`), so a section that several words have in common
     is expanded once, and all their windows are scored in one pass.
@@ -445,15 +458,11 @@ def verify_window_constraints(samples: int, max_len: int, seed: int = 0) -> Veri
         raise ValueError(f"samples must be non-negative, got {samples}")
     if max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
-    rng = random.Random(seed)
-    choice = rng.choice
+    draw = _word_drawer(random.Random(seed), samples, max_len)
     report = VerificationReport(samples=samples, max_len=max_len, seed=seed)
     for start in range(0, samples, VERIFY_CHUNK):
-        words = []
-        for _ in range(min(VERIFY_CHUNK, samples - start)):
-            length = rng.randint(0, max_len)
-            words.append("".join([choice(ALPHABET) for _ in range(length)]))
-        rows = _table_rows([word_element(w) for w in words], 8)
+        words = draw(min(VERIFY_CHUNK, samples - start))
+        rows = _table_rows(map(word_element, words), 8)
         bad = _failing_windows(np.concatenate(list(rows), axis=1)).any(axis=1)
         report.violations.extend(words[i] for i in np.flatnonzero(bad))
     return report

@@ -1,8 +1,14 @@
+import contextlib
+import cProfile
+import gc
 import hashlib
+import io
 import os
+import pstats
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -195,13 +201,16 @@ def test_sample_rejects_seeds_outside_64_bits(capsys, seed):
 
 
 def test_cli_import_loads_no_hashlib_numpy_random_or_fractions():
-    # each would cost every process start; fractions is imported on use
-    code = ("import sys, grigtree.cli; print(*(m in sys.modules for m in "
+    # each would cost every process start; fractions is imported on use,
+    # and verify draws its words without numpy.random
+    code = ("import sys, grigtree.cli; grigtree.cli.main(['verify', '--samples', '3']); "
+            "print(*(m in sys.modules for m in "
             "('hashlib', 'numpy.random', 'fractions', 'decimal')))")
     env = dict(os.environ, PYTHONPATH=str(Path(gt.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False"] * 4
+    assert out.stdout.splitlines()[0] == "seed=0 samples=3 max_len=100 violations=0"
+    assert out.stdout.splitlines()[1].split() == ["False"] * 4
 
 
 #: Output of the SplitMix64 counter stream of `closure._seed_bits`.
@@ -294,6 +303,48 @@ def test_verify(capsys):
 def test_verify_output_is_pinned(capsys, seed):
     assert run(capsys, "verify", "--samples", "2000", "--seed", str(seed)) == (
         0, f"seed={seed} samples=2000 max_len=100 violations=0\n", "")
+
+
+def _quiet(argv):
+    """main(argv) with stdout discarded."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(argv)
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["verify", "--samples", "1000"], 145_637),  # 511,487 with one rng.choice per letter
+    (["sample", "--depth", "16"], 459),
+])
+def test_python_call_count_is_gated(argv, calls):
+    # an exact count of the work, after a warm-up that fills the caches;
+    # with the collector off, no gc callback (hypothesis adds one) is counted
+    profile = cProfile.Profile()
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+        gc.disable()
+        try:
+            profile.runcall(main, argv)
+        finally:
+            gc.enable()
+    assert pstats.Stats(profile).total_calls <= calls
+
+
+@pytest.mark.parametrize("argv, peak", [
+    (["verify", "--samples", "10000"], 8_105_606),
+    (["verify", "--samples", "1", "--max-len", "1990000", "--seed", "4"], 8_731_877),
+])
+def test_verify_memory_is_gated(argv, peak):
+    # the bounds are the peaks of one rng.choice per letter; the block draw
+    # holds one capped block while it draws, and only a block's unread tail
+    # while a chunk's table is built
+    _quiet(argv)
+    tracemalloc.start()
+    try:
+        _quiet(argv)
+        traced = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traced <= peak
 
 
 @pytest.mark.parametrize("spec", [
