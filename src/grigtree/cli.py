@@ -94,11 +94,12 @@ MAX_SECTION_DEPTH = 18
 MAX_HAUSDORFF_LEVEL = 4000
 #: Most `verify` work without --large, in letters: samples x (max_len +
 #: WORD_LETTERS), a word being charged as 8 letters.  With the letters
-#: drawn in bulk, a letter costs about 0.15 us and a word about 3 us before
-#: its letters (some 20 letters' worth), so the charge is low, but it
-#: keeps the bound below a second: one word of up to 2,000,000 letters
-#: takes at most about 0.35 s, 18,500 words of up to 100 about 0.55 s and
-#: 250,000 empty words about 0.85 s; the default 1000 x 100 is 20 times below.
+#: drawn in bulk and each level of new sections decomposed and reduced in
+#: one batch, a letter costs about 0.08 us and a word about 1.5 us before
+#: its letters (some 18 letters' worth), so the charge is low, but it
+#: keeps the bound well below a second: one word of 1,810,071 letters
+#: takes about 0.15 s, 18,500 words of up to 100 about 0.15 s and 250,000
+#: empty words about 0.37 s; the default 1000 x 100 is 20 times below.
 VERIFY_LETTERS = 2_000_000
 WORD_LETTERS = 8
 _VERIFY_WORK = f"--samples x (--max-len + {WORD_LETTERS})"

@@ -33,19 +33,24 @@ vertex, in one of three ways:
 * every other element (a word, or a recursion-system symbol: automaton
   states, kbar and scattered elements) is finite-state, so its portrait
   repeats a few states on every level.  A state table that lives for
-  one call interns each state once under its `_state_key()`, expands it
-  once (both children together) into an intp child array of shape
-  (states, 2), and emits level n as act.take(ids) before stepping down
-  with ids = child.take(ids, axis=0), both gathers on intp ids (numpy's
-  index type, so no index conversion per level).  One table can serve
-  many roots at once, a row of ids per root (`_table_rows`); a portrait
-  is the one-root case.
+  one call interns each state once under its `_state_key()` and expands
+  it once, both children together, into an intp child array of shape
+  (states, 2).  The states new on a level are expanded together: those
+  that share a `_children_of` go to it in one call, so a level of word
+  states is one decomposition and one reduction of their join.  Level n
+  is act_child.take(ids, axis=0), a gather of the children's activities
+  below the ids of level n - 1, which then step down with
+  ids = child.take(ids, axis=0); both gathers use intp ids (numpy's index
+  type, so no index conversion per level), and the last level needs no
+  ids of its own.  One table can serve many roots at once, a row of ids
+  per root (`_table_rows`); a portrait is the one-root case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -89,6 +94,13 @@ class Automorphism:
 
     def _children(self) -> tuple["Automorphism", "Automorphism"]:
         raise NotImplementedError
+
+    @staticmethod
+    def _children_of(states) -> list["Automorphism"]:
+        """The sections at 0 and 1 of each of some states, in one flat
+        list: by default `_children()` of each.  A state table expands the
+        states new on a level that share this function in one call."""
+        return [h for g in states for h in g._children()]
 
     def _state_key(self) -> object:
         return self
@@ -209,8 +221,9 @@ def _table_rows(roots, depth: int) -> Iterator[np.ndarray]:
     """Rows of finite-state elements from one state table built for this
     call, one (len(roots), 2^n) array per level n: each state is interned
     once by `_state_key()` and expanded once, both children together, on
-    the level below the one it first shows on.  Roots share the table, so
-    sections common to several of them are expanded once."""
+    the level below the one it first shows on, together with the other
+    states new on its level (see `_children_of`).  Roots share the table,
+    so sections common to several of them are expanded once."""
     index: dict = {}
     states: list[Automorphism] = []
     acts: list[int] = []
@@ -227,19 +240,42 @@ def _table_rows(roots, depth: int) -> Iterator[np.ndarray]:
 
     root_ids: list[int] = []
     intern(roots, root_ids)
-    kids: list[int] = []  # children of states[:len(kids) // 2], two ids each
-    act = np.array(acts, dtype=np.uint8)
+    kids: list[int] = []  # sections at 0 and 1 of states[:done], two ids each
+    done = 0
     child = np.zeros((0, 2), dtype=np.intp)
+    act_child = np.zeros((0, 2), dtype=np.uint8)  # activities of the sections in child
     ids = np.array(root_ids, dtype=np.intp)[:, None]
-    for n in range(depth):
-        if n:
-            if len(kids) < 2 * len(states):
-                for state in states[len(kids) // 2:]:
-                    intern(state._children(), kids)
-                act = np.array(acts, dtype=np.uint8)
-                child = np.array(kids, dtype=np.intp).reshape(-1, 2)
-            ids = child.take(ids, axis=0).reshape(len(ids), 1 << n)
-        yield act.take(ids)
+    rows = len(root_ids)
+    if depth:
+        yield np.array(acts, dtype=np.uint8).take(ids)
+    for n in range(1, depth):
+        new = states[done:]
+        if new:
+            done = len(states)
+            intern(_children_of(new), kids)
+            child = np.array(kids, dtype=np.intp).reshape(-1, 2)
+            act_child = np.array(acts, dtype=np.uint8).take(child)
+        if n > 1:
+            ids = child.take(ids, axis=0).reshape(rows, 1 << (n - 1))
+        yield act_child.take(ids, axis=0).reshape(rows, 1 << n)
+
+
+def _children_of(states: list[Automorphism]) -> list[Automorphism]:
+    """The sections at 0 and 1 of each state, in one flat list; the states
+    that share an `_children_of` go to it in one call."""
+    expand, *others = set(map(_CHILDREN_OF, states))
+    if not others:
+        return expand(states)
+    kids: list = [None] * (2 * len(states))
+    for expand in (expand, *others):
+        at = [i for i, g in enumerate(states) if g._children_of is expand]
+        got = expand([states[i] for i in at])
+        for j, i in enumerate(at):
+            kids[2 * i:2 * i + 2] = got[2 * j:2 * j + 2]
+    return kids
+
+
+_CHILDREN_OF = attrgetter("_children_of")
 
 
 def _rows_below(bits: np.ndarray, v: int, depth: int) -> Iterator[np.ndarray]:

@@ -11,6 +11,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import grigtree as gt
@@ -305,6 +306,19 @@ def test_verify_output_is_pinned(capsys, seed):
         0, f"seed={seed} samples=2000 max_len=100 violations=0\n", "")
 
 
+@pytest.mark.parametrize("flagged, line", [(0, "violation: c"), (1, "violation: -")])
+def test_verify_prints_each_violation(capsys, monkeypatch, flagged, line):
+    # seed 4 draws the words c, (empty) and ddbaa; one of them is made to fail
+    def one_failing(bits):
+        bad = np.zeros((bits.shape[0], 1), dtype=bool)
+        bad[flagged] = True
+        return bad
+
+    monkeypatch.setattr("grigtree.oracle._failing_windows", one_failing)
+    assert run(capsys, "verify", "--samples", "3", "--max-len", "5", "--seed", "4") == (
+        1, f"seed=4 samples=3 max_len=5 violations=1\n{line}\n", "")
+
+
 def _quiet(argv):
     """main(argv) with stdout discarded."""
     with contextlib.redirect_stdout(io.StringIO()):
@@ -312,8 +326,14 @@ def _quiet(argv):
 
 
 @pytest.mark.parametrize("argv, calls", [
-    (["verify", "--samples", "1000"], 145_637),  # 511,487 with one rng.choice per letter
+    # 511,487 with one rng.choice per letter, 145,637 with one decomposition per word
+    (["verify", "--samples", "1000"], 34_096),
     (["sample", "--depth", "16"], 459),
+    # state tables of the three other element families: 477, 841 and 1,049
+    # with one `_children()` call per state
+    (["check-closure", "auto:f", "--depth", "20"], 454),
+    (["check-closure", "kbar:abab", "--depth", "16"], 712),
+    (["portrait", "word:abacabad", "--depth", "22"], 748),
 ])
 def test_python_call_count_is_gated(argv, calls):
     # an exact count of the work, after a warm-up that fills the caches;
@@ -331,12 +351,14 @@ def test_python_call_count_is_gated(argv, calls):
 
 @pytest.mark.parametrize("argv, peak", [
     (["verify", "--samples", "10000"], 8_105_606),
-    (["verify", "--samples", "1", "--max-len", "1990000", "--seed", "4"], 8_731_877),
+    # 8,731,877 while the 495,028-letter word was split into segment strings
+    (["verify", "--samples", "1", "--max-len", "1990000", "--seed", "4"], 3_220_329),
 ])
 def test_verify_memory_is_gated(argv, peak):
-    # the bounds are the peaks of one rng.choice per letter; the block draw
-    # holds one capped block while it draws, and only a block's unread tail
-    # while a chunk's table is built
+    # the first bound is the peak of one rng.choice per letter; the block
+    # draw holds one capped block while it draws, and only a block's unread
+    # tail while a chunk's table is built.  The second is the peak of the
+    # numpy pass that decomposes the one long word
     _quiet(argv)
     tracemalloc.start()
     try:

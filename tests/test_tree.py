@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import grigtree as gt
 from grigtree import IDENTITY
 from grigtree.tree import _table_rows, vertex_index, vertex_label
-from grigtree.words import _decompose
+from grigtree.words import _decompose_all
 
 words = st.text(alphabet="abcd", max_size=24)
 vertices = st.text(alphabet="01", max_size=6)
@@ -381,15 +381,19 @@ def test_square_of_a_deep_sampled_truncation_is_fast():
 
 
 def test_each_word_is_decomposed_once(monkeypatch):
-    decomposed = []
+    # counted at the batch entry point, where a table hands over each
+    # level's new words in one call
+    decomposed, batches = [], []
 
-    def counting(word):
-        decomposed.append(word)
-        return _decompose(word)
+    def counting(words):
+        decomposed.extend(words)
+        batches.append(words)
+        return _decompose_all(words)
 
-    monkeypatch.setattr("grigtree.words._decompose", counting)
+    monkeypatch.setattr("grigtree.words._decompose_all", counting)
     gt.portrait_of(gt.word_element("abacabadacabdabcadabac"), 8)
     assert decomposed and len(decomposed) == len(set(decomposed))
+    assert len(batches) <= 7  # one per level below the root
     decomposed.clear()
     g = gt.word_element("abdabac")
     g.section(0), g.section(1), g.section(0)

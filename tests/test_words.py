@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import grigtree as gt
 from grigtree import IDENTITY
+from grigtree.words import _decompose_all, _reduce_join, _reduced_sections
 
 words = st.text(alphabet="abcd", max_size=24)
 long_words = st.text(alphabet="abcd", max_size=200)
@@ -271,11 +272,47 @@ def test_both_reduce_paths_give_the_normal_form(monkeypatch, segment_min):
     """Every word through the segment path, then every word through the
     rewriting path, whatever its length."""
     monkeypatch.setattr("grigtree.words.SEGMENT_REDUCE_MIN", segment_min)
+    monkeypatch.setattr("grigtree.words.SEGMENT_JOIN_MIN", segment_min)
     rng = random.Random(segment_min)
     for n in [*range(40), 95, 96, 97, 200, 1000]:
         w = _random_word(n, rng.random())
         assert gt.reduce(w) == letter_reduce(w)
         assert gt.reduce(w + letter_reduce(w)[::-1]) == ""
+
+
+# batches of words as a state table's levels hand them over: short and
+# long random words, empty words, and cascades that cancel to nothing
+batch_words = st.lists(st.one_of(
+    st.text(alphabet="abcd", max_size=40),
+    st.builds(_random_word, st.integers(0, 400), st.integers(0, 2 ** 32)),
+    st.builds(lambda w: w + letter_reduce(w)[::-1], st.text(alphabet="abcd", max_size=60)),
+), min_size=1, max_size=8)
+
+
+@given(batch_words, st.sampled_from([0, 10 ** 9]))
+@settings(max_examples=100, deadline=None)
+def test_batch_decomposition_gives_each_words_sections(ws, numpy_min):
+    """Both forms of the odd-parity pass (numpy, split at the a's): the
+    padding starts every word of the join at even parity."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("grigtree.words.DECOMPOSE_NUMPY_MIN", numpy_min)
+        sections = _decompose_all(ws)
+    refs = [letter_decompose(w) for w in ws]
+    assert sections == "|" + "|".join([r[0] for r in refs] + [r[1] for r in refs])
+
+
+@given(batch_words, st.sampled_from([1, 10 ** 9]))
+@settings(max_examples=100, deadline=None)
+def test_batch_reduction_gives_each_words_normal_form(ws, segment_min):
+    """The whole join through the segment pass, then through the rewrite
+    loop: no word's relations reach into its neighbours."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("grigtree.words.SEGMENT_REDUCE_MIN", segment_min)
+        mp.setattr("grigtree.words.SEGMENT_JOIN_MIN", segment_min)
+        reduced = _reduce_join("|" + "|".join(ws), max(map(len, ws)))
+        sections = _reduced_sections(ws)
+    assert reduced == [letter_reduce(w) for w in ws]
+    assert sections == [letter_reduce(x) for w in ws for x in letter_decompose(w)[:2]]
 
 
 def _error(f, word):
