@@ -95,11 +95,12 @@ MAX_HAUSDORFF_LEVEL = 4000
 #: Most `verify` work without --large, in letters: samples x (max_len +
 #: WORD_LETTERS), a word being charged as 8 letters.  With the letters
 #: drawn in bulk and each level of new sections decomposed and reduced in
-#: one batch, a letter costs about 0.08 us and a word about 1.5 us before
-#: its letters (some 18 letters' worth), so the charge is low, but it
-#: keeps the bound well below a second: one word of 1,810,071 letters
-#: takes about 0.15 s, 18,500 words of up to 100 about 0.15 s and 250,000
-#: empty words about 0.37 s; the default 1000 x 100 is 20 times below.
+#: one batch, a letter costs about 0.055 us and a word about 0.9 us before
+#: its letters (some 16 letters' worth), so the charge is low, but it
+#: keeps the bound well below a second (in-process, on a 2-CPU Xeon VM):
+#: one word of 1,803,425 letters (seed 5) takes about 0.1 s, 18,500 words
+#: of up to 100 about 0.11 s and 250,000 empty words about 0.22 s; the
+#: default 1000 x 100 is 20 times below.
 VERIFY_LETTERS = 2_000_000
 WORD_LETTERS = 8
 _VERIFY_WORK = f"--samples x (--max-len + {WORD_LETTERS})"
@@ -239,6 +240,7 @@ def _large(what: str = f"portraits deeper than {MAX_DEPTH} levels"):
 
 
 _DEPTH = _arg("--depth", type=int, required=True)
+_SEED = _arg("--seed", type=int, default=0, help="0 <= seed < 2^64 (default 0)")
 _WORD = _arg("word", help="word over abcd, '-' for the empty word")
 
 #: name: (help, handler, arguments as (flags, add_argument options)).
@@ -264,14 +266,13 @@ COMMANDS = {
                   [_arg("--max-level", type=int, required=True),
                    _large(f"--max-level beyond {MAX_HAUSDORFF_LEVEL}")]),
     "sample": ("sample a closure-element portrait", cmd_sample,
-               [_arg("--seed", type=int, default=0, help="0 <= seed < 2^64 (default 0)"),
-                _DEPTH, _large()]),
+               [_SEED, _DEPTH, _large()]),
     "bounded": ("activity profile and boundedness", cmd_bounded,
                 [_arg("elem"), _arg("--levels", type=int, default=8), _large()]),
     "verify": ("sample random words against the window constraints", cmd_verify, [
         _arg("--samples", type=int, default=1000),
         _arg("--max-len", type=int, default=100),
-        _arg("--seed", type=int, default=0),
+        _SEED,
         _large(f"{_VERIFY_WORK} beyond {VERIFY_LETTERS}")]),
 }
 

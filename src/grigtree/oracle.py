@@ -43,30 +43,28 @@ order and emitting, for each, its class of keys (ascending) gives keys
 that already increase.  A cache is read with one call into the key
 array.
 
-The random-word check draws its words from blocks of raw Mersenne
-Twister outputs (`words._word_drawer`), the same words, in the same
-order, as one `rng.choice` per letter: it replays CPython's `getrandbits`
-output order and the rejection rules of `randint` and `choice`, so the
-sampled words are tied to CPython's `random` internals.  It builds the
-depth-8 rows of a chunk of sampled words from one state table, so
-sections the words share are expanded once, and scores all windows of
-the chunk in one pass.
+The random-word check draws its words from the SplitMix64 counter hash
+that `sample` seeds from (`_sampled_words`): one hash per word for its
+length and one per 32 letters, decoded two bits a letter by one gather.
+It builds the depth-8 rows of a chunk of sampled words from one state
+table, so sections the words share are expanded once, and scores all
+windows of the chunk in one pass.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-import random
 import struct
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
 
-from .closure import _failing_windows, _row_cosets
+from .closure import _failing_windows, _mix64, _row_cosets
 from .tree import Portrait, _table_rows, apply, portrait_of, vertex_index, vertex_label
-from .words import ALPHABET, _word_drawer, word_element
+from .words import ALPHABET, _word_element, word_element
 
 __all__ = [
     "PortraitSet",
@@ -435,6 +433,39 @@ class VerificationReport:
 #: number of samples.
 VERIFY_CHUNK = 4096
 
+_GOLDEN = 0x9E3779B97F4A7C15
+#: The four letters of each byte value, two bits a letter, lowest first
+#: (built without numpy shifts: their first use pages in about 140 kB).
+_BYTE_LETTERS = np.frombuffer("".join(
+    ALPHABET[byte >> shift & 3] for byte in range(256) for shift in (0, 2, 4, 6)
+).encode("ascii"), dtype=np.uint8).reshape(256, 4)
+
+
+def _sampled_words(seed: int, start: int, count: int, max_len: int,
+                   letter: int) -> tuple[list[str], int]:
+    """Words start, ..., start + count - 1 of the seed, and the position
+    in the letter stream after them (the words take their letters in
+    order from position `letter` on).
+
+    With h(n) = mix64(mix64(seed) + n * 0x9E3779B97F4A7C15) mod 2^64,
+    word i has h(2i) * (max_len + 1) >> 64 letters (Lemire's
+    multiply-shift, on Python ints), and letter j of the stream is
+    ALPHABET[(h(2 floor(j / 32) + 1) >> 2(j mod 32)) & 3]: each letter
+    hash is read as little-endian bytes, and each byte gives four
+    letters.
+    """
+    key = _mix64(np.array([seed], dtype=np.uint64))
+    counters = np.arange(2 * start, 2 * (start + count), 2, dtype=np.uint64)
+    lengths = [h * (max_len + 1) >> 64 for h in _mix64(counters * _GOLDEN + key).tolist()]
+    ends = list(accumulate(lengths, initial=0))
+    stop = letter + ends[-1]
+    first, end = letter >> 5, (stop + 31) >> 5  # the letter hashes the words read
+    counters = np.arange(2 * first + 1, 2 * end, 2, dtype=np.uint64)
+    hashes = _mix64(counters * _GOLDEN + key).astype("<u8", copy=False)
+    codes = _BYTE_LETTERS[hashes.view(np.uint8)].reshape(-1)[letter - 32 * first:]
+    text = codes[:ends[-1]].tobytes().decode("ascii")
+    return [text[a:b] for a, b in zip(ends, ends[1:])], stop
+
 
 def verify_window_constraints(samples: int, max_len: int, seed: int = 0) -> VerificationReport:
     """Sample random generator words (uniform letters, lengths uniform
@@ -442,27 +473,25 @@ def verify_window_constraints(samples: int, max_len: int, seed: int = 0) -> Veri
     window of the portrait to depth 8 is admissible.  Any counterexample
     word is listed in the report, in sample order; none is expected.
 
-    The words are those that `random.Random(seed)` gives by drawing each
-    length with `randint(0, max_len)` and then each letter with
-    `choice(ALPHABET)`.  `words._word_drawer` builds them from blocks of
-    raw outputs, replaying CPython's `getrandbits` output order and the
-    rejection rules of `randint` and `choice`, so the sampled words are
-    tied to CPython's `random` internals, as the pinned output of
-    `verify` already is.
-
-    The words of each chunk of VERIFY_CHUNK samples share one state table
-    (`tree._table_rows`), so a section that several words have in common
-    is expanded once, and all their windows are scored in one pass.
+    The words come from the SplitMix64 counter hash of the seed, which
+    must satisfy 0 <= seed < 2^64 as `sample`'s does (see
+    `_sampled_words`).  The words of each chunk of VERIFY_CHUNK samples
+    share one state table (`tree._table_rows`), so a section that several
+    words have in common is expanded once, and all their windows are
+    scored in one pass.
     """
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
     if max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
-    draw = _word_drawer(random.Random(seed), samples, max_len)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} is outside 0 <= seed < 2^64")
     report = VerificationReport(samples=samples, max_len=max_len, seed=seed)
+    letter = 0
     for start in range(0, samples, VERIFY_CHUNK):
-        words = draw(min(VERIFY_CHUNK, samples - start))
-        rows = _table_rows(map(word_element, words), 8)
+        words, letter = _sampled_words(seed, start, min(VERIFY_CHUNK, samples - start),
+                                       max_len, letter)
+        rows = _table_rows(map(_word_element, words), 8)
         bad = _failing_windows(np.concatenate(list(rows), axis=1)).any(axis=1)
         report.violations.extend(words[i] for i in np.flatnonzero(bad))
     return report

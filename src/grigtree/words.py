@@ -22,16 +22,12 @@ for a long one) and translates the join once per child.  `_reduce_join`
 reduces every word of a join with a few `str.replace` passes (a short
 join) or one numpy pass plus one stack step per a-separated segment (a
 long join or a long word).  `beta_from_counts` is one numpy pass.
-`count_p` and `count_pq` keep the per-letter definitions.  Random words
-are drawn the same way: `_word_drawer` decodes blocks of raw generator
-outputs into one string of letters and slices each word from it.
+`count_p` and `count_pq` keep the per-letter definitions.
 """
 
 from __future__ import annotations
 
-import random
 from itertools import islice
-from typing import Callable
 
 import numpy as np
 
@@ -345,89 +341,3 @@ def _reduced_sections(words: list[str]) -> list[str]:
     sections[::2], sections[1::2] = reduced[:len(words)], reduced[len(words):]
     return sections
 
-
-#: Most raw 32-bit outputs the word drawer takes from the generator at a
-#: time: memory stays flat in the number of samples and in the word length.
-DRAW_BLOCK = 1 << 15
-_LETTER_BYTES = np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)
-
-
-def _raw_block(rng: random.Random, n: int) -> tuple[np.ndarray, np.ndarray, str]:
-    """The next n raw outputs of rng's Mersenne Twister, the positions of
-    those that `choice(ALPHABET)` accepts, and the letters these give.
-
-    getrandbits(32 n) returns n outputs, the first in the lowest 32 bits.
-    choice(ALPHABET) keeps the top 3 bits of an output and rejects values
-    of 4 or more, so an output below 2^31 gives ALPHABET[output >> 29].
-    """
-    raw = np.frombuffer(rng.getrandbits(32 * n).to_bytes(4 * n, "little"), dtype="<u4")
-    accepted = np.flatnonzero(raw < 1 << 31)
-    letters = _LETTER_BYTES.take(raw[accepted] >> 29).tobytes().decode("ascii")
-    return raw, accepted, letters
-
-
-def _word_drawer(rng: random.Random, samples: int, max_len: int) -> Callable[[int], list[str]]:
-    """draw(count): the next count of the `samples` words that rounds of
-    `"".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, max_len)))`
-    would build, in order, read from rng's raw outputs in blocks.
-
-    randint(0, max_len) keeps the top k = (max_len + 1).bit_length() bits
-    of one output (of ceil(k / 32) outputs, the first in the lowest bits,
-    if k > 32) and draws again while the value is above max_len.  The
-    letter draws that follow are consecutive outputs, so a word is one
-    slice of a block's letters, or a join of slices if it runs on into
-    the next block.  A refill is sized to the expected need of the words
-    left in the call, and a call keeps only the unread tail of its last
-    block (and nothing after the last word), so memory stays flat.
-    """
-    k = (max_len + 1).bit_length()
-    parts = [(low, max(0, 32 + low - k)) for low in range(0, k, 32)]  # (shift, bits dropped)
-    tail = empty = _raw_block(rng, 0)
-    left = samples
-
-    def draw(count: int) -> list[str]:
-        nonlocal rng, tail, left
-        raw, accepted, letters = tail
-        p = c = 0  # position in raw; accepted outputs before it
-        size, n_acc = raw.size, accepted.size
-        words = []
-        for remaining in range(count, 0, -1):
-            while True:  # randint(0, max_len)
-                length = 0
-                for low, drop in parts:
-                    if p == size:
-                        raw, accepted, letters = _raw_block(
-                            rng, min(DRAW_BLOCK, remaining * (max_len + 2)))
-                        p = c = 0
-                        size, n_acc = raw.size, accepted.size
-                    out = raw.item(p)
-                    p += 1
-                    c += out < 1 << 31
-                    length |= out >> drop << low
-                if length <= max_len:
-                    break
-            end = c + length
-            if end <= n_acc:
-                words.append(letters[c:end])
-            else:  # the word runs on into the next block
-                pieces = []
-                while end > n_acc:
-                    pieces.append(letters[c:])
-                    end -= n_acc
-                    raw, accepted, letters = _raw_block(
-                        rng, min(DRAW_BLOCK, 2 * end + (remaining - 1) * (max_len + 2)))
-                    c = 0
-                    size, n_acc = raw.size, accepted.size
-                pieces.append(letters[:end])
-                words.append("".join(pieces))
-            if length:
-                c = end
-                p = accepted.item(c - 1) + 1
-        left -= count
-        if left:
-            tail = raw[p:].copy(), accepted[c:] - p, letters[c:]
-        else:  # every word is drawn: keep no outputs and no generator
-            tail, rng = empty, None
-        return words
-
-    return draw

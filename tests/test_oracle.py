@@ -5,18 +5,18 @@ import struct
 import tracemalloc
 import types
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import grigtree as gt
-from grigtree import Portrait, TruncationAutomorphism, closure, oracle, words
+from grigtree import Portrait, TruncationAutomorphism, closure, oracle
 from grigtree.closure import _row_cosets, _window_rows
 from grigtree.oracle import (QuotientSet, _generator_moves, _key_halves, _left_product,
                              _left_tables)
 from grigtree.tree import vertex_index, vertex_label
+from test_closure import MASK64, splitmix64_mix
 
 
 def key_width_bytes(level):
@@ -467,101 +467,52 @@ def test_random_words_never_violate_the_windows():
     assert report.summary() == "seed=7 samples=50 max_len=30 violations=0"
 
 
-def _drawn_words(samples, max_len, seed):
-    """The words verify_window_constraints draws, in sample order."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(samples):
-        length = rng.randint(0, max_len)
-        out.append("".join(rng.choice("abcd") for _ in range(length)))
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _rng_loop_words(samples, max_len, seed):
+    """The words verify_window_constraints draws, in sample order, one
+    hash at a time: word i has mix64(key + 2i golden) (max_len + 1) >> 64
+    letters, and letter j of the running stream is bits 2(j mod 32) of
+    mix64(key + (2 floor(j / 32) + 1) golden), with key = mix64(seed)."""
+    key = splitmix64_mix(seed)
+
+    def hashed(n):
+        return splitmix64_mix((key + n * GOLDEN) & MASK64)
+
+    out, j = [], 0
+    for i in range(samples):
+        length = hashed(2 * i) * (max_len + 1) >> 64
+        out.append("".join(gt.ALPHABET[hashed(2 * (k // 32) + 1) >> 2 * (k % 32) & 3]
+                           for k in range(j, j + length)))
+        j += length
     return out
 
 
 def _drawer_words(seed, max_len, counts):
-    """The words of one `words._word_drawer`, drawn in calls of `counts`."""
-    draw = words._word_drawer(random.Random(seed), sum(counts), max_len)
-    return [w for count in counts for w in draw(count)]
+    """The words of successive `_sampled_words` calls of `counts` words."""
+    out, letter = [], 0
+    for count in counts:
+        words, letter = oracle._sampled_words(seed, len(out), count, max_len, letter)
+        out += words
+    return out
 
 
-@pytest.mark.parametrize("block", [1, 3, 64, words.DRAW_BLOCK])
-@pytest.mark.parametrize("max_len", [0, 1, 7, 8, 15, 16, 127, 128, 129])
-def test_drawer_words_equal_the_rng_loop(monkeypatch, max_len, block):
-    # small blocks put refills inside words and between a word and its length
-    monkeypatch.setattr("grigtree.words.DRAW_BLOCK", block)
-    for seed in (0, 1, 5, 2024):
-        for samples in (0, 1, 2, 33):
-            assert _drawer_words(seed, max_len, [samples]) == _drawn_words(samples, max_len, seed)
-        assert _drawer_words(seed, max_len, [3, 0, 1, 5]) == _drawn_words(9, max_len, seed)
-
-
-@pytest.mark.parametrize("block", [64, words.DRAW_BLOCK])
-def test_drawer_builds_words_longer_than_a_block(monkeypatch, block):
-    monkeypatch.setattr("grigtree.words.DRAW_BLOCK", block)
-    max_len = 80 * block
-    expected = _drawn_words(3, max_len, 4)
-    assert max(map(len, expected)) > 2 * block  # two letters or more per output
-    assert _drawer_words(4, max_len, [1, 2]) == expected
-
-
-def _untemper(y):
-    """The Mersenne Twister state word whose tempered output is y."""
-    y ^= y >> 18
-    y ^= y << 15 & 0xEFC60000
-    x = y
-    for _ in range(4):  # 7 bits at a time
-        x = (y ^ x << 7 & 0x9D2C5680) & 0xFFFFFFFF
-    y = x
-    for _ in range(2):  # 11 bits at a time
-        x = y ^ x >> 11
-    return x
-
-
-class _Bounded(random.Random):
-    """A generator that fails once it has given 2^20 bits, so that a wrong
-    word length cannot run away."""
-
-    budget = 1 << 20
-
-    def getrandbits(self, k):
-        self.budget -= k
-        assert self.budget >= 0, "drew far more outputs than the words need"
-        return super().getrandbits(k)
-
-
-def _scripted(outputs):
-    """A generator whose next 32-bit outputs are `outputs`, set as the
-    last state words before a twist."""
-    state = list(random.Random(0).getstate()[1])
-    state[624 - len(outputs):624] = map(_untemper, outputs)
-    state[624] = 624 - len(outputs)
-    rng = _Bounded()
-    rng.setstate((3, tuple(state), None))
-    return rng
-
-
-@pytest.mark.parametrize("block", [1, 2, words.DRAW_BLOCK])
-@pytest.mark.parametrize("max_len", [2 ** 32 - 2, 2 ** 32 - 1, 2 ** 32 + 5, 2 ** 40])
-def test_drawer_reads_long_lengths_from_several_outputs(monkeypatch, max_len, block):
-    # past 32 bits, randint reads ceil(k / 32) outputs, the first lowest;
-    # scripted outputs keep the drawn lengths short
-    monkeypatch.setattr("grigtree.words.DRAW_BLOCK", block)
-    scripts = ([3, 5], [0, 0], [7, 2 ** 31 + 9, 3, 0x1234], [9, 2 ** 32 - 1, 2, 0])
-    assert _scripted([7, 2 ** 31 + 9]).getrandbits(64) == 7 | (2 ** 31 + 9) << 32
-    for outputs in scripts:
-        rng = _scripted(outputs)
-        length = rng.randint(0, max_len)
-        assert length < 10
-        expected = "".join(rng.choice(gt.ALPHABET) for _ in range(length))
-        assert words._word_drawer(_scripted(outputs), 1, max_len)(1) == [expected]
+@pytest.mark.parametrize("chunk", [1, 3, 64, 32768])
+@pytest.mark.parametrize("max_len", [0, 1, 2, 7, 8, 15, 16, 31, 32, 100, 127, 128, 129])
+def test_drawer_words_equal_the_rng_loop(max_len, chunk):
+    # calls of `chunk` words start words and letters inside a hash
+    for seed in (0, 1, 5, 2024, 2 ** 64 - 1):
+        for samples in (0, 1, 2, 33, 70):
+            counts = [min(chunk, samples - start) for start in range(0, samples, chunk)]
+            assert _drawer_words(seed, max_len, counts) == _rng_loop_words(samples, max_len, seed)
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2 ** 64), max_len=st.integers(0, 300),
-       counts=st.lists(st.integers(0, 40), max_size=6),
-       block=st.sampled_from([1, 5, 256, words.DRAW_BLOCK]))
-def test_drawer_words_do_not_depend_on_the_split_into_calls(seed, max_len, counts, block):
-    with mock.patch.object(words, "DRAW_BLOCK", block):
-        assert _drawer_words(seed, max_len, counts) == _drawn_words(sum(counts), max_len, seed)
+@given(seed=st.integers(0, 2 ** 64 - 1), max_len=st.integers(0, 300),
+       counts=st.lists(st.integers(0, 40), max_size=6))
+def test_drawer_words_do_not_depend_on_the_split_into_calls(seed, max_len, counts):
+    assert _drawer_words(seed, max_len, counts) == _drawer_words(seed, max_len, [sum(counts)])
 
 
 @pytest.mark.parametrize("samples, chunk", [(20, 7), (21, 7), (4095, None), (4096, None),
@@ -571,14 +522,14 @@ def test_verify_checks_the_rng_loop_words_across_chunks(monkeypatch, samples, ch
         monkeypatch.setattr("grigtree.oracle.VERIFY_CHUNK", chunk)
     seen = []
     word_element = gt.word_element
-    monkeypatch.setattr("grigtree.oracle.word_element",
+    monkeypatch.setattr("grigtree.oracle._word_element",
                         lambda w: seen.append(w) or word_element(w))
     assert gt.verify_window_constraints(samples, 9, 3).ok
-    assert seen == _drawn_words(samples, 9, 3)
+    assert seen == _rng_loop_words(samples, 9, 3)
 
 
 def test_forced_violations_are_listed_at_their_sample_positions(monkeypatch):
-    words = _drawn_words(20, 12, 5)
+    words = _rng_loop_words(20, 12, 5)
     # positions 2 and 9 lie in the first and second chunks of 7 samples
     targets = [words[2], words[9]]
     assert all(words.count(w) == 1 for w in targets)
@@ -593,7 +544,7 @@ def test_forced_violations_are_listed_at_their_sample_positions(monkeypatch):
 
     word_element = gt.word_element
     monkeypatch.setattr("grigtree.oracle.VERIFY_CHUNK", 7)
-    monkeypatch.setattr("grigtree.oracle.word_element",
+    monkeypatch.setattr("grigtree.oracle._word_element",
                         lambda w: flipped(w) if w in targets else word_element(w))
     report = gt.verify_window_constraints(20, 12, 5)
     assert report.violations == targets
