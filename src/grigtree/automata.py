@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .tree import Automorphism, IDENTITY, activity_rows, check_vertex
-from .words import check_word, word_element
+from .words import _word_element, check_word
 
 
 class MealyAutomaton:
@@ -236,7 +236,7 @@ def kbar_element(word: str) -> Automorphism:
     _check_k_shape(word)
     if not word:
         return IDENTITY
-    system = RecursionSystem({"kbar": (word_element(word), "kbar", 0)})
+    system = RecursionSystem({"kbar": (_word_element(word), "kbar", 0)})
     return system.element("kbar")
 
 
@@ -254,7 +254,7 @@ def scattered_element(assignments: Sequence[tuple[str, str]]) -> Automorphism:
         check_vertex(vertex)
         _check_k_shape(word)
         labels.append(vertex)
-        table[vertex] = word_element(word)
+        table[vertex] = _word_element(word)
     if len(table) != len(labels):
         raise ValueError("duplicate vertex in assignments")
     # a proper prefix u of w is a prefix of every label sorted between them,

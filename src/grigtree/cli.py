@@ -31,7 +31,7 @@ from .closure import (free_bit_count, hausdorff_estimate, in_closure_up_to,
 from .oracle import _check_level, enumerate_quotient, save_portrait_set, verify_window_constraints
 from .tree import (Automorphism, Portrait, TruncationAutomorphism, apply,
                    check_vertex, portrait_of, vertex_label)
-from .words import check_word, decompose_word, reduce, section_words, word_element
+from .words import _word_element, check_word, decompose_word, reduce, section_words
 
 
 class DesignatorError(ValueError):
@@ -57,7 +57,7 @@ def parse_element(spec: str):
     if not sep:
         raise DesignatorError(f"element designator {spec!r} needs a '<kind>:' prefix")
     if kind == "word":
-        return word_element(_word_arg(rest)), None
+        return _word_element(_word_arg(rest)), None
     if kind == "kbar":
         word = "" if rest == "-" else rest
         return kbar_element(word), None
@@ -278,15 +278,19 @@ COMMANDS = {
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser for every command, built once per process and
-    reused by every main call."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser for every command, or for the named one only,
+    built once per process and reused by every main call.  A one-command
+    parser's usage still lists every command, so its top-level errors
+    print what the full parser's would."""
     parser = argparse.ArgumentParser(
         prog="grigtree",
         description="Exact computation with binary-tree automorphisms and "
                     "the closure of the Grigorchuk group.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_, func, arguments) in COMMANDS.items():
+    metavar = None if command is None else "{%s}" % ",".join(COMMANDS)  # as the full usage
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else [command]:
+        help_, func, arguments = COMMANDS[name]
         p = sub.add_parser(name, help=help_)
         for flags, options in arguments:
             p.add_argument(*flags, **options)
@@ -295,7 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(sys.argv[1:] if argv is None else list(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # help, no arguments and unknown commands go to the full parser
+    parser = build_parser(argv[0]) if argv and argv[0] in COMMANDS else build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (DesignatorError, ValueError, RecursionError, MemoryError, OSError) as exc:

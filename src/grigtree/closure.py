@@ -26,7 +26,7 @@ rows L-2, L-1 and L hold the windows rooted at level L-3 side by side,
 and one lookup in the forced-bit table completes them.  Its drawn bits
 come from a counter hash: the bit at vertex index v is the top bit of
 SplitMix64's output function applied to the seed's key plus (v + 1)
-times the golden-ratio increment, one array expression per level.
+times the golden-ratio increment, hashed for the free vertices alone.
 """
 
 from __future__ import annotations
@@ -93,8 +93,9 @@ _ADMISSIBLE[[sum(bit << (5 - j) for j, bit in enumerate(row))
              for row in CONSTRAINT_TABLE]] = True
 
 #: Level-3 positions of a window's free bits a_001 a_011 a_101 a_111
-#: a_110, least significant first in a free-bit index.
-_FREE = (1, 3, 5, 7, 6)
+#: a_110, least significant first in a free-bit index (unsigned, as
+#: offsets of the hash counters of a row).
+_FREE = np.array((1, 3, 5, 7, 6), dtype=np.uint64)
 
 
 def _profiles(l1, l2, l3):
@@ -129,18 +130,16 @@ def _window_rows() -> np.ndarray:
     """rows[ctx, free] is the admissible level-3 row of a window, as 8
     bits (bit r = a_r, r read as three binary digits), given the six
     bits ctx = a_0 a_1 a_00 a_01 a_10 a_11 above it (most significant
-    first) and its free-bit index: of all 64 x 256 (context, row) pairs,
+    first) and its free-bit index.  A window's profile is ctx ^ pairs,
+    the row's pair xors read as a profile under a zero context, and
     exactly one admissible row has each (context, free bits)."""
-    ctx = np.repeat(np.arange(64, dtype=np.uint8), 256)
-    row = np.tile(np.arange(256, dtype=np.uint8), 64)
-    above = np.unpackbits(ctx[:, None], axis=1)[:, 2:]
-    bits = np.unpackbits(row[:, None], axis=1, bitorder="little")
-    keep = _ADMISSIBLE[_profiles(above[:, :2], above[:, 2:], bits)]
-    l3 = bits[keep]
-    cell = ctx[keep].astype(np.intp) * 32 + sum(l3[:, r] << j for j, r in enumerate(_FREE))
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    zero = np.zeros((256, 4), dtype=bits.dtype)
+    ctx, row = np.nonzero(_ADMISSIBLE[np.arange(64)[:, None] ^ _profiles(zero, zero, bits)])
+    cell = ctx * 32 + sum(bits[row, r] << j for j, r in enumerate(_FREE))
     assert np.array_equal(np.sort(cell), np.arange(64 * 32)), "forcing is not unique"
     rows = np.zeros(64 * 32, dtype=np.uint32)
-    rows[cell] = row[keep]
+    rows[cell] = row
     rows = rows.reshape(64, 32)
     rows.flags.writeable = False
     return rows
@@ -309,8 +308,14 @@ def _seed_bits(seed: int, level: int) -> np.ndarray:
     top bit of mix64(mix64(seed) + (v + 1) * 0x9E3779B97F4A7C15) in
     wrapping uint64 arithmetic.  A bit depends only on the seed and its
     vertex, so extending the depth never changes the bits already drawn."""
-    key = _mix64(np.array([seed], dtype=np.uint64))
-    counter = np.arange(1 << level, 2 << level, dtype=np.uint64)  # v + 1 on the level
+    return _drawn_bits(_mix64(np.array([seed], dtype=np.uint64)), level)
+
+
+def _drawn_bits(key: np.ndarray, level: int, step: int = 1, offset=0) -> np.ndarray:
+    """`_seed_bits` of a level, key being mix64(seed), at the vertices
+    offset, offset + step, ... of the level only (a column of offsets
+    gives one row of bits per offset)."""
+    counter = np.arange(1 << level, 2 << level, step, dtype=np.uint64) + offset  # v + 1
     return (_mix64(counter * 0x9E3779B97F4A7C15 + key) >> 63).astype(np.uint8)
 
 
@@ -320,22 +325,24 @@ def sample_closure_element(seed: int, depth: int) -> Portrait:
     Levels 0-2 are drawn freely; from level 3 on, the bits at vertices
     whose label ends in 1 or in 110 are drawn freely and the remaining
     three bits of each window rooted three levels up are forced, a level
-    at a time, by one lookup in the forced-bit table.  Deterministic in
-    the seed, which must satisfy 0 <= seed < 2^64.
+    at a time, by one lookup in the forced-bit table.  Only the free
+    vertices are hashed.  Deterministic in the seed, which must satisfy
+    0 <= seed < 2^64.
     """
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed {seed} is outside 0 <= seed < 2^64")
     if depth < 4:
         raise ValueError("sampling needs depth >= 4")
-    rows = [_seed_bits(seed, level) for level in range(3)]
+    key = _mix64(np.array([seed], dtype=np.uint64))
+    rows = [_drawn_bits(key, level) for level in range(3)]
     table = _window_rows()
     for level in range(3, depth):
         l1 = rows[level - 2].reshape(-1, 2)
         l2 = rows[level - 1].reshape(-1, 4)
-        l3 = _seed_bits(seed, level).reshape(-1, 8)  # only the free columns are read
+        l3 = _drawn_bits(key, level, 8, _FREE[:, None])  # one row per free vertex
         ctx = ((l1[:, 0] << 5) | (l1[:, 1] << 4) | (l2[:, 0] << 3)
                | (l2[:, 1] << 2) | (l2[:, 2] << 1) | l2[:, 3])
-        free = sum(l3[:, r] << j for j, r in enumerate(_FREE))
+        free = l3[0] | l3[1] << 1 | l3[2] << 2 | l3[3] << 3 | l3[4] << 4
         rows.append(np.unpackbits(table[ctx, free].astype(np.uint8), bitorder="little"))
     return Portrait(rows)
 

@@ -331,7 +331,8 @@ def _quiet(argv):
     # 511,487 with one rng.choice per letter, 145,637 with one decomposition per
     # word, 34,096 with Mersenne Twister words
     (["verify", "--samples", "1000"], 27_612),
-    (["sample", "--depth", "16"], 459),
+    # 459 while every vertex of a level was hashed and the free index summed
+    (["sample", "--depth", "16"], 325),
     # state tables of the three other element families: 477, 841 and 1,049
     # with one `_children()` call per state
     (["check-closure", "auto:f", "--depth", "20"], 454),
@@ -473,9 +474,47 @@ def _full_parser_outcome(capsys, argv):
     ["reduce"], ["reduce", "ab", "--bogus"], ["reduce", "a", "b"], ["act", "word:a"],
     ["enumerate", "--level", "x"], ["enumerate"], ["sample", "--seed"],
     ["portrait", "word:a", "--depth", "3", "--format", "svg"],
+    # top-level errors raised after a named command, by its one-command parser
+    ["check-closure", "auto:f", "--depth", "8", "extra"], ["sample", "--depth", "4", "--bogus"],
+    ["reduce", "ab", "--", "cd"], ["verify", "-h"],
 ])
 def test_help_and_usage_errors_are_the_full_parsers(capsys, argv):
     assert _outcome(capsys, argv) == _full_parser_outcome(capsys, argv)
+
+
+def _fresh_cli(code, *argv, **env):
+    """The stdout of a fresh interpreter running code with grigtree importable."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gt.__file__).parents[1]), **env)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_top_level_help_bytes_are_pinned():
+    # the usage whose command list the one-command parsers' metavar spells out
+    out = _fresh_cli("import sys, grigtree.cli; grigtree.cli.main()", "--help", COLUMNS="80")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "85dd231a5deec52b09b6cd23f6ffb7567b5245dce3c70ce0c6aac5af1f10d5de")
+
+
+def test_a_named_command_builds_only_its_own_parser():
+    # counted in a fresh process, where no parser is cached yet
+    code = ("import argparse, contextlib, io, sys\n"
+            "init, built = argparse.ArgumentParser.__init__, []\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(self)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "from grigtree.cli import build_parser, main\n"
+            "assert not built, 'a parser was built at import'\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(sys.argv[1:])\n"
+            "named = len(built)\n"
+            "build_parser()\n"
+            "print(code, named, len(built) - named)\n")
+    # the top-level parser and the named command's subparser, against one
+    # subparser per command in the full parser, built afterwards
+    out = _fresh_cli(code, "check-closure", "auto:f", "--depth", "16")
+    assert out.split() == ["0", "2", str(1 + len(COMMANDS))]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,12 +1,14 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import grigtree as gt
 from grigtree import IDENTITY
-from grigtree.closure import _seed_bits
+from grigtree.closure import (_ADMISSIBLE, _FREE, _drawn_bits, _mix64, _profiles, _seed_bits,
+                              _window_rows)
 
 words = st.text(alphabet="abcd", max_size=24)
 
@@ -286,6 +288,37 @@ def test_seed_bits_match_a_python_splitmix64(seed):
         first = (1 << level) - 1  # vertex index of the level's first vertex
         expected = [reference_seed_bit(seed, first + i) for i in range(1 << level)]
         assert _seed_bits(seed, level).tolist() == expected
+
+
+@given(st.integers(min_value=0, max_value=(1 << 64) - 1), st.integers(min_value=3, max_value=12))
+@settings(max_examples=60)
+def test_free_bit_draw_is_the_free_columns_of_the_seed_bits(seed, level):
+    # the sampler hashes only the free vertices of each window row
+    key = _mix64(np.array([seed], dtype=np.uint64))
+    free = _drawn_bits(key, level, 8, _FREE[:, None])
+    assert np.array_equal(free, _seed_bits(seed, level).reshape(-1, 8)[:, _FREE].T)
+
+
+def window_rows_reference():
+    """The forced-bit table by brute force: the profile of every one of
+    the 64 x 256 (context, level-3 row) pairs."""
+    ctx = np.repeat(np.arange(64, dtype=np.uint8), 256)
+    row = np.tile(np.arange(256, dtype=np.uint8), 64)
+    above = np.unpackbits(ctx[:, None], axis=1)[:, 2:]
+    bits = np.unpackbits(row[:, None], axis=1, bitorder="little")
+    keep = _ADMISSIBLE[_profiles(above[:, :2], above[:, 2:], bits)]
+    l3 = bits[keep]
+    cell = ctx[keep].astype(np.intp) * 32 + sum(l3[:, r] << j for j, r in enumerate(_FREE))
+    assert np.array_equal(np.sort(cell), np.arange(64 * 32))
+    rows = np.zeros(64 * 32, dtype=np.uint32)
+    rows[cell] = row[keep]
+    return rows.reshape(64, 32)
+
+
+def test_window_rows_match_the_brute_force_table():
+    rows = _window_rows()
+    assert rows.dtype == np.uint32 and not rows.flags.writeable
+    assert np.array_equal(rows, window_rows_reference())
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64, 10 ** 30])
