@@ -42,9 +42,11 @@ from .closure import (
     BetaProfile,
     CONSTRAINT_TABLE,
     ClosureVerdict,
+    VerificationReport,
     WindowDecoration,
     beta_profile,
     complete_window,
+    enumerate_admissible_decorations,
     free_bit_count,
     hausdorff_estimate,
     in_closure_up_to,
@@ -52,6 +54,7 @@ from .closure import (
     sample_closure_element,
     simulates_grigorchuk,
     window_at,
+    verify_window_constraints,
     within_sixteenth_of_G,
 )
 from .automata import (
@@ -71,12 +74,9 @@ from .automata import (
 from .oracle import (
     PortraitSet,
     QuotientSet,
-    VerificationReport,
-    enumerate_admissible_decorations,
     enumerate_quotient,
     load_portrait_set,
     save_portrait_set,
-    verify_window_constraints,
 )
 
 __version__ = "0.1.0"

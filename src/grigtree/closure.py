@@ -27,17 +27,30 @@ and one lookup in the forced-bit table completes them.  Its drawn bits
 come from a counter hash: the bit at vertex index v is the top bit of
 SplitMix64's output function applied to the seed's key plus (v + 1)
 times the golden-ratio increment, hashed for the free vertices alone.
+
+The constraint side of the level-n cross-check is here too; the group
+side, a BFS that never reads the constraints, is the oracle module.  The
+admissible enumeration adds one level row at a time, in the highest bits
+of the key, with no sort: a window's admissible rows are one coset of a
+fixed 5-dimensional subspace of GF(2)^8, so the keys of a level fall into
+classes that admit the same rows.  The random-word check draws its words
+from the same counter hash, one hash per word for its length and one per
+32 letters, and scores the depth-8 windows of a chunk of words, built
+from one state table, in one pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .tree import Automorphism, Portrait, portrait_of, vertex_index, vertex_label
+from .oracle import PortraitSet, _check_level
+from .tree import Automorphism, Portrait, _table_rows, portrait_of, vertex_index, vertex_label
+from .words import ALPHABET, _word_element
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -55,6 +68,9 @@ __all__ = [
     "within_sixteenth_of_G",
     "complete_window",
     "sample_closure_element",
+    "enumerate_admissible_decorations",
+    "VerificationReport",
+    "verify_window_constraints",
     "free_bit_count",
     "hausdorff_estimate",
 ]
@@ -292,6 +308,9 @@ def complete_window(
                             tuple((row >> r) & 1 for r in range(8)))
 
 
+_GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64's counter increment
+
+
 def _mix64(z: np.ndarray) -> np.ndarray:
     """SplitMix64's output function on a uint64 array, in place (numpy
     arrays wrap on overflow)."""
@@ -316,7 +335,7 @@ def _drawn_bits(key: np.ndarray, level: int, step: int = 1, offset=0) -> np.ndar
     offset, offset + step, ... of the level only (a column of offsets
     gives one row of bits per offset)."""
     counter = np.arange(1 << level, 2 << level, step, dtype=np.uint64) + offset  # v + 1
-    return (_mix64(counter * 0x9E3779B97F4A7C15 + key) >> 63).astype(np.uint8)
+    return (_mix64(counter * _GOLDEN + key) >> 63).astype(np.uint8)
 
 
 def sample_closure_element(seed: int, depth: int) -> Portrait:
@@ -345,6 +364,141 @@ def sample_closure_element(seed: int, depth: int) -> Portrait:
         free = l3[0] | l3[1] << 1 | l3[2] << 2 | l3[3] << 3 | l3[4] << 4
         rows.append(np.unpackbits(table[ctx, free].astype(np.uint8), bitorder="little"))
     return Portrait(rows)
+
+
+def enumerate_admissible_decorations(n: int) -> PortraitSet:
+    """All depth-n portraits whose complete depth-3 windows (rooted at
+    every vertex of level <= n-4) satisfy the window constraints.
+
+    Levels 0-2 are free.  Row L >= 3 is the bottom row of the m = 2^(L-3)
+    windows rooted at level L-3, and it fills the highest bits of the
+    key.  The admissible rows of a window are one coset of a fixed
+    5-dimensional subspace of GF(2)^8 (`_row_cosets`), picked by the
+    window's context, so a key admits exactly the rows whose m coset ids
+    equal its own tuple of context coset ids.  Keys with one tuple
+    form a class (a stable sort keeps each class ascending), and every
+    class holds as many keys.  Walking the 2^(8m) values of the new row
+    in increasing order, each value is OR'd onto the keys of the class
+    it fits: the new row is the high part and each class ascends, so the
+    keys come out strictly increasing, with no sort.
+    """
+    _check_level(n)
+    keys = np.arange(1 << ((1 << min(n, 3)) - 1), dtype=np.uint32)
+    syndrome, coset = _row_cosets()
+    for level in range(3, n):
+        above, mid, low = ((1 << (level - d)) - 1 for d in (2, 1, 0))
+        m = 1 << (level - 3)
+        rows = np.arange(1 << (8 * m), dtype=np.uint32)
+        key_class = np.zeros(keys.size, dtype=np.intp)
+        row_class = np.zeros(rows.size, dtype=np.intp)
+        for i in range(m):
+            ctx = np.zeros(keys.size, dtype=np.uint32)
+            for pos in (above + 2 * i, above + 2 * i + 1,
+                        mid + 4 * i, mid + 4 * i + 1, mid + 4 * i + 2, mid + 4 * i + 3):
+                ctx = (ctx << 1) | ((keys >> pos) & 1)
+            key_class |= coset[ctx].astype(np.intp) << (3 * i)
+            row_class |= syndrome[(rows >> (8 * i)) & 0xFF].astype(np.intp) << (3 * i)
+        sizes = np.bincount(key_class, minlength=8 ** m)
+        size = int(sizes.max())
+        assert np.all(sizes[sizes > 0] == size), "classes of unequal size"
+        # one row per occupied class, in class order, each ascending
+        classes = keys.take(np.argsort(key_class, kind="stable")).reshape(-1, size)
+        fits = sizes[row_class] > 0
+        rows = rows[fits]
+        keys = np.empty((rows.size, size), dtype=np.uint32)
+        # the indices are in range; mode "raise" would copy through a buffer
+        classes.take((np.cumsum(sizes > 0) - 1)[row_class[fits]], axis=0, out=keys,
+                     mode="clip")
+        np.bitwise_or(keys, (rows << np.uint32(low))[:, None], out=keys)
+        keys = keys.reshape(-1)
+    keys.flags.writeable = False  # strictly increasing, so PortraitSet keeps it
+    return PortraitSet(n, keys)
+
+
+@dataclass
+class VerificationReport:
+    """Outcome of sampling random generator words against the window
+    constraints of their portraits to depth 8."""
+
+    samples: int
+    max_len: int
+    seed: int
+    violations: list[str] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def summary(self) -> str:
+        return (f"seed={self.seed} samples={self.samples} "
+                f"max_len={self.max_len} violations={len(self.violations)}")
+
+
+#: Samples whose rows come from one state table: memory stays flat in the
+#: number of samples.
+VERIFY_CHUNK = 4096
+
+#: The four letters of each byte value, two bits a letter, lowest first
+#: (built without numpy shifts: their first use pages in about 140 kB).
+_BYTE_LETTERS = np.frombuffer("".join(
+    ALPHABET[byte >> shift & 3] for byte in range(256) for shift in (0, 2, 4, 6)
+).encode("ascii"), dtype=np.uint8).reshape(256, 4)
+
+
+def _sampled_words(seed: int, start: int, count: int, max_len: int,
+                   letter: int) -> tuple[list[str], int]:
+    """Words start, ..., start + count - 1 of the seed, and the position
+    in the letter stream after them (the words take their letters in
+    order from position `letter` on).
+
+    With h(n) = mix64(mix64(seed) + n * 0x9E3779B97F4A7C15) mod 2^64,
+    word i has h(2i) * (max_len + 1) >> 64 letters (Lemire's
+    multiply-shift, on Python ints), and letter j of the stream is
+    ALPHABET[(h(2 floor(j / 32) + 1) >> 2(j mod 32)) & 3]: each letter
+    hash is read as little-endian bytes, and each byte gives four
+    letters.
+    """
+    key = _mix64(np.array([seed], dtype=np.uint64))
+    counters = np.arange(2 * start, 2 * (start + count), 2, dtype=np.uint64)
+    lengths = [h * (max_len + 1) >> 64 for h in _mix64(counters * _GOLDEN + key).tolist()]
+    ends = list(accumulate(lengths, initial=0))
+    stop = letter + ends[-1]
+    first, end = letter >> 5, (stop + 31) >> 5  # the letter hashes the words read
+    counters = np.arange(2 * first + 1, 2 * end, 2, dtype=np.uint64)
+    hashes = _mix64(counters * _GOLDEN + key).astype("<u8", copy=False)
+    codes = _BYTE_LETTERS[hashes.view(np.uint8)].reshape(-1)[letter - 32 * first:]
+    text = codes[:ends[-1]].tobytes().decode("ascii")
+    return [text[a:b] for a, b in zip(ends, ends[1:])], stop
+
+
+def verify_window_constraints(samples: int, max_len: int, seed: int = 0) -> VerificationReport:
+    """Sample random generator words (uniform letters, lengths uniform
+    in [0, max_len]) and check that the root window and every section
+    window of the portrait to depth 8 is admissible.  Any counterexample
+    word is listed in the report, in sample order; none is expected.
+
+    The words come from the SplitMix64 counter hash of the seed, which
+    must satisfy 0 <= seed < 2^64 as `sample`'s does (see
+    `_sampled_words`).  The words of each chunk of VERIFY_CHUNK samples
+    share one state table (`tree._table_rows`), so a section that several
+    words have in common is expanded once, and all their windows are
+    scored in one pass.
+    """
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
+    if max_len < 0:
+        raise ValueError(f"max_len must be non-negative, got {max_len}")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} is outside 0 <= seed < 2^64")
+    report = VerificationReport(samples=samples, max_len=max_len, seed=seed)
+    letter = 0
+    for start in range(0, samples, VERIFY_CHUNK):
+        words, letter = _sampled_words(seed, start, min(VERIFY_CHUNK, samples - start),
+                                       max_len, letter)
+        rows = _table_rows(map(_word_element, words), 8)
+        bad = _failing_windows(np.concatenate(list(rows), axis=1)).any(axis=1)
+        report.violations.extend(words[i] for i in np.flatnonzero(bad))
+    return report
 
 
 def free_bit_count(n: int) -> int:

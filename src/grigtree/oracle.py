@@ -1,20 +1,19 @@
-"""Brute-force ground truth at desk scale.
+"""Brute-force ground truth at desk scale: the group side.
 
-Two independent enumerations meet here: a breadth-first search of the
-Grigorchuk group modulo level-n stabilizers (working with honest
-generator products, nothing constraint-based), and an enumeration of
-all depth-n decorations admitted by the window constraints.  Their
-agreement at levels up to 5 is the desk-scale certificate for the
-closure characterization; the module also spot-checks random generator
-words against the window constraints.
+A breadth-first search of the Grigorchuk group modulo level-n
+stabilizers, working with honest generator products and nothing
+constraint-based.  Its agreement at levels up to 5 with the enumeration
+of decorations admitted by the window constraints (in the closure
+module, which imports this one and never the reverse) is the desk-scale
+certificate for the closure characterization.
 
 A coset of the level-n stabilizer is named by its portrait key
-(bit-packed as in Portrait.pack, at most 31 bits), and both
-enumerations work on uint32 arrays of keys.  The BFS multiplies on the
-left: act(s*g, u) = act(s, u) xor act(g, u^s), so key(s*g) is key(g)
-with its bits permuted by s acting on the vertices, xor key(s).  A
-product is two gathers, one from a 65,536-entry table per 16-bit half
-of the key, derived from the tree action of the generator itself.
+(bit-packed as in Portrait.pack, at most 31 bits), and the BFS works on
+uint32 arrays of keys.  It multiplies on the left: act(s*g, u) =
+act(s, u) xor act(g, u^s), so key(s*g) is key(g) with its bits permuted
+by s acting on the vertices, xor key(s).  A product is two gathers, one
+from a 65,536-entry table per 16-bit half of the key, derived from the
+tree action of the generator itself.
 
 The BFS checks each layer only against itself, in the same sort that
 dedupes its candidates: the generators are involutions, and a coset is
@@ -32,23 +31,8 @@ tag, and emitting half 0, then half 1, gives the layer in key order.  The
 BFS keeps only each layer's sorted keys; `witness` reads its rule, the
 first s in ALPHABET order that leads back a layer, from the layers, one
 binary search per letter.  Sets are deduplicated by sorting and
-comparing neighbours, and membership is a binary search.
-
-The admissible enumeration needs no sort.  It adds one level row at a
-time, in the highest bits of the key.  The admissible rows of a window
-are one coset of a fixed 5-dimensional subspace of GF(2)^8, chosen by
-the window's context, so the keys of the level above fall into classes
-that admit the same rows.  Walking the new row's values in increasing
-order and emitting, for each, its class of keys (ascending) gives keys
-that already increase.  A cache is read with one call into the key
-array.
-
-The random-word check draws its words from the SplitMix64 counter hash
-that `sample` seeds from (`_sampled_words`): one hash per word for its
-length and one per 32 letters, decoded two bits a letter by one gather.
-It builds the depth-8 rows of a chunk of sampled words from one state
-table, so sections the words share are expanded once, and scores all
-windows of the chunk in one pass.
+comparing neighbours, and membership is a binary search.  A cache is
+read with one call into the key array.
 """
 
 from __future__ import annotations
@@ -56,23 +40,17 @@ from __future__ import annotations
 import functools
 import os
 import struct
-from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
 
-from .closure import _failing_windows, _mix64, _row_cosets
-from .tree import Portrait, _table_rows, apply, portrait_of, vertex_index, vertex_label
-from .words import ALPHABET, _word_element, word_element
+from .tree import Portrait, apply, portrait_of, vertex_index, vertex_label
+from .words import ALPHABET, word_element
 
 __all__ = [
     "PortraitSet",
     "QuotientSet",
     "enumerate_quotient",
-    "enumerate_admissible_decorations",
-    "VerificationReport",
-    "verify_window_constraints",
     "save_portrait_set",
     "load_portrait_set",
 ]
@@ -359,142 +337,6 @@ def enumerate_quotient(n: int) -> QuotientSet:
     # unmapped before QuotientSet sorts a copy of the keys
     del values, runs, tags, first, low, hi, tables, vals, halves
     return QuotientSet(n, disc_keys[:end], bounds)
-
-
-def enumerate_admissible_decorations(n: int) -> PortraitSet:
-    """All depth-n portraits whose complete depth-3 windows (rooted at
-    every vertex of level <= n-4) satisfy the window constraints.
-
-    Levels 0-2 are free.  Row L >= 3 is the bottom row of the m = 2^(L-3)
-    windows rooted at level L-3, and it fills the highest bits of the
-    key.  The admissible rows of a window are one coset of a fixed
-    5-dimensional subspace of GF(2)^8 (`closure._row_cosets`), picked by
-    the window's context, so a key admits exactly the rows whose m coset
-    ids equal its own tuple of context coset ids.  Keys with one tuple
-    form a class (a stable sort keeps each class ascending), and every
-    class holds as many keys.  Walking the 2^(8m) values of the new row
-    in increasing order, each value is OR'd onto the keys of the class
-    it fits: the new row is the high part and each class ascends, so the
-    keys come out strictly increasing, with no sort.
-    """
-    _check_level(n)
-    keys = np.arange(1 << ((1 << min(n, 3)) - 1), dtype=np.uint32)
-    syndrome, coset = _row_cosets()
-    for level in range(3, n):
-        above, mid, low = ((1 << (level - d)) - 1 for d in (2, 1, 0))
-        m = 1 << (level - 3)
-        rows = np.arange(1 << (8 * m), dtype=np.uint32)
-        key_class = np.zeros(keys.size, dtype=np.intp)
-        row_class = np.zeros(rows.size, dtype=np.intp)
-        for i in range(m):
-            ctx = np.zeros(keys.size, dtype=np.uint32)
-            for pos in (above + 2 * i, above + 2 * i + 1,
-                        mid + 4 * i, mid + 4 * i + 1, mid + 4 * i + 2, mid + 4 * i + 3):
-                ctx = (ctx << 1) | ((keys >> pos) & 1)
-            key_class |= coset[ctx].astype(np.intp) << (3 * i)
-            row_class |= syndrome[(rows >> (8 * i)) & 0xFF].astype(np.intp) << (3 * i)
-        sizes = np.bincount(key_class, minlength=8 ** m)
-        size = int(sizes.max())
-        assert np.all(sizes[sizes > 0] == size), "classes of unequal size"
-        # one row per occupied class, in class order, each ascending
-        classes = keys.take(np.argsort(key_class, kind="stable")).reshape(-1, size)
-        fits = sizes[row_class] > 0
-        rows = rows[fits]
-        keys = np.empty((rows.size, size), dtype=np.uint32)
-        # the indices are in range; mode "raise" would copy through a buffer
-        classes.take((np.cumsum(sizes > 0) - 1)[row_class[fits]], axis=0, out=keys,
-                     mode="clip")
-        np.bitwise_or(keys, (rows << np.uint32(low))[:, None], out=keys)
-        keys = keys.reshape(-1)
-    keys.flags.writeable = False  # strictly increasing, so PortraitSet keeps it
-    return PortraitSet(n, keys)
-
-
-@dataclass
-class VerificationReport:
-    """Outcome of sampling random generator words against the window
-    constraints of their portraits to depth 8."""
-
-    samples: int
-    max_len: int
-    seed: int
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def summary(self) -> str:
-        return (f"seed={self.seed} samples={self.samples} "
-                f"max_len={self.max_len} violations={len(self.violations)}")
-
-
-#: Samples whose rows come from one state table: memory stays flat in the
-#: number of samples.
-VERIFY_CHUNK = 4096
-
-_GOLDEN = 0x9E3779B97F4A7C15
-#: The four letters of each byte value, two bits a letter, lowest first
-#: (built without numpy shifts: their first use pages in about 140 kB).
-_BYTE_LETTERS = np.frombuffer("".join(
-    ALPHABET[byte >> shift & 3] for byte in range(256) for shift in (0, 2, 4, 6)
-).encode("ascii"), dtype=np.uint8).reshape(256, 4)
-
-
-def _sampled_words(seed: int, start: int, count: int, max_len: int,
-                   letter: int) -> tuple[list[str], int]:
-    """Words start, ..., start + count - 1 of the seed, and the position
-    in the letter stream after them (the words take their letters in
-    order from position `letter` on).
-
-    With h(n) = mix64(mix64(seed) + n * 0x9E3779B97F4A7C15) mod 2^64,
-    word i has h(2i) * (max_len + 1) >> 64 letters (Lemire's
-    multiply-shift, on Python ints), and letter j of the stream is
-    ALPHABET[(h(2 floor(j / 32) + 1) >> 2(j mod 32)) & 3]: each letter
-    hash is read as little-endian bytes, and each byte gives four
-    letters.
-    """
-    key = _mix64(np.array([seed], dtype=np.uint64))
-    counters = np.arange(2 * start, 2 * (start + count), 2, dtype=np.uint64)
-    lengths = [h * (max_len + 1) >> 64 for h in _mix64(counters * _GOLDEN + key).tolist()]
-    ends = list(accumulate(lengths, initial=0))
-    stop = letter + ends[-1]
-    first, end = letter >> 5, (stop + 31) >> 5  # the letter hashes the words read
-    counters = np.arange(2 * first + 1, 2 * end, 2, dtype=np.uint64)
-    hashes = _mix64(counters * _GOLDEN + key).astype("<u8", copy=False)
-    codes = _BYTE_LETTERS[hashes.view(np.uint8)].reshape(-1)[letter - 32 * first:]
-    text = codes[:ends[-1]].tobytes().decode("ascii")
-    return [text[a:b] for a, b in zip(ends, ends[1:])], stop
-
-
-def verify_window_constraints(samples: int, max_len: int, seed: int = 0) -> VerificationReport:
-    """Sample random generator words (uniform letters, lengths uniform
-    in [0, max_len]) and check that the root window and every section
-    window of the portrait to depth 8 is admissible.  Any counterexample
-    word is listed in the report, in sample order; none is expected.
-
-    The words come from the SplitMix64 counter hash of the seed, which
-    must satisfy 0 <= seed < 2^64 as `sample`'s does (see
-    `_sampled_words`).  The words of each chunk of VERIFY_CHUNK samples
-    share one state table (`tree._table_rows`), so a section that several
-    words have in common is expanded once, and all their windows are
-    scored in one pass.
-    """
-    if samples < 0:
-        raise ValueError(f"samples must be non-negative, got {samples}")
-    if max_len < 0:
-        raise ValueError(f"max_len must be non-negative, got {max_len}")
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed {seed} is outside 0 <= seed < 2^64")
-    report = VerificationReport(samples=samples, max_len=max_len, seed=seed)
-    letter = 0
-    for start in range(0, samples, VERIFY_CHUNK):
-        words, letter = _sampled_words(seed, start, min(VERIFY_CHUNK, samples - start),
-                                       max_len, letter)
-        rows = _table_rows(map(_word_element, words), 8)
-        bad = _failing_windows(np.concatenate(list(rows), axis=1)).any(axis=1)
-        report.violations.extend(words[i] for i in np.flatnonzero(bad))
-    return report
 
 
 def _key_dtype(level: int) -> np.dtype:

@@ -8,7 +8,6 @@ import pstats
 import subprocess
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -316,7 +315,7 @@ def test_verify_prints_each_violation(capsys, monkeypatch, flagged, line):
         bad[flagged] = True
         return bad
 
-    monkeypatch.setattr("grigtree.oracle._failing_windows", one_failing)
+    monkeypatch.setattr("grigtree.closure._failing_windows", one_failing)
     assert run(capsys, "verify", "--samples", "3", "--max-len", "5", "--seed", "29") == (
         1, f"seed=29 samples=3 max_len=5 violations=1\n{line}\n", "")
 
@@ -353,26 +352,41 @@ def test_python_call_count_is_gated(argv, calls):
     assert pstats.Stats(profile).total_calls <= calls
 
 
+def traced_peak(setup: str, code: str) -> int:
+    """The tracemalloc peak of `code`, run after `setup` in a fresh
+    interpreter: in this process, the tests before would shape the heap."""
+    script = (f"import tracemalloc\n{setup}\ntracemalloc.start()\n{code}\n"
+              "print(tracemalloc.get_traced_memory()[1])")
+    env = dict(os.environ, PYTHONPATH=str(Path(gt.__file__).parents[1]))
+    return int(subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True).stdout)
+
+
 @pytest.mark.parametrize("argv, peak", [
-    # 4,920,185 alone, up to 4,921,305 depending on the tests before it
-    # (8,105,606 with one rng.choice per letter)
-    (["verify", "--samples", "10000"], 4_925_000),
-    # the first word of seed 47094 has 495,028 letters; 3,220,329 for the
-    # Mersenne Twister word of that length, plus the 2,262 that the state
-    # table and window scan of this word take over that one
-    (["verify", "--samples", "1", "--max-len", "1990000", "--seed", "47094"], 3_222_591),
+    # 4,925,000 while read in the test process, where it varied by about
+    # 1.1 kB with the tests before it (8,105,606 with one rng.choice per letter)
+    (["verify", "--samples", "10000"], 4_920_377),
+    # the first word of seed 47094 has 495,028 letters; 3,222,591 while read
+    # in the test process (3,220,329 for the Mersenne Twister word of that length)
+    (["verify", "--samples", "1", "--max-len", "1990000", "--seed", "47094"], 3_222_282),
 ])
 def test_verify_memory_is_gated(argv, peak):
     # the second bound is the peak of the numpy pass that decomposes the
-    # one long word
-    _quiet(argv)
-    tracemalloc.start()
-    try:
-        _quiet(argv)
-        traced = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert traced <= peak
+    # one long word; the first run is a warm-up
+    setup = ("import contextlib, io\nfrom grigtree.cli import main\ndef run():\n"
+             f"    with contextlib.redirect_stdout(io.StringIO()):\n        main({argv!r})\nrun()")
+    assert traced_peak(setup, "run()") <= peak
+
+
+def test_verify_state_count_is_gated(monkeypatch):
+    # the states that verify's state tables expand, both children at once:
+    # 985, 337 and 5 on three levels
+    counted = []
+    children_of = gt.tree._children_of
+    monkeypatch.setattr("grigtree.tree._children_of",
+                        lambda states: counted.append(len(states)) or children_of(states))
+    _quiet(["verify", "--samples", "1000"])
+    assert sum(counted) <= 1_327
 
 
 @pytest.mark.parametrize("spec", [

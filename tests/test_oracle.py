@@ -3,8 +3,8 @@ import random
 import re
 import struct
 import tracemalloc
-import types
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from grigtree.closure import _row_cosets, _window_rows
 from grigtree.oracle import (QuotientSet, _generator_moves, _key_halves, _left_product,
                              _left_tables)
 from grigtree.tree import vertex_index, vertex_label
+from test_cli import traced_peak
 from test_closure import MASK64, splitmix64_mix
 
 
@@ -376,41 +377,76 @@ def test_bfs_candidate_count_is_gated(n, candidates, monkeypatch):
     assert cosets - 1 <= sum(counted) <= candidates  # each coset but 1 is a candidate
 
 
-def _named(code: types.CodeType) -> set[str]:
-    """The global and attribute names a code object uses, nested ones included."""
-    names = set(code.co_names)
-    for const in code.co_consts:
-        if isinstance(const, types.CodeType):
-            names |= _named(const)
-    return names
+def test_bfs_memory_is_gated():
+    # with the buffer floor at 8 bytes for this test only, the peak is what
+    # the BFS writes (224.5 MiB at the 32 MiB floor, allocated but never
+    # written); levels 3 and 4 warm the tables up
+    setup = ("from grigtree import oracle\noracle.BUFFER_BYTES = 8\n"
+             "oracle.enumerate_quotient(3)\noracle.enumerate_quotient(4)")
+    assert traced_peak(setup, "oracle.enumerate_quotient(4)") <= 1_182_040
 
 
-def _defined_names(module) -> set[str]:
-    """The names that a module's own top-level statements bind, imports excluded."""
-    names = set()
-    for node in ast.parse(Path(module.__file__).read_text()).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names |= {t.id for t in targets if isinstance(t, ast.Name)}
-    return names
+PACKAGE = Path(gt.__file__).parent
+
+
+def _imported_modules(source: str) -> set[str]:
+    """The grigtree modules that a module's source imports anywhere, in
+    functions too; "__init__" is the package itself, which imports all."""
+    def module(path):  # a dotted path below the package, "" for itself
+        name = path.split(".")[0]
+        return name if (PACKAGE / f"{name}.py").exists() else "__init__"
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {module(a.name[9:]) for a in node.names if a.name.split(".")[0] == "grigtree"}
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "grigtree"):
+            base = (node.module or "") if node.level else node.module[9:]
+            found |= {module(base)} if base else {module(a.name) for a in node.names}
+    return found
+
+
+def _package_imports(name: str) -> set[str]:
+    """The grigtree modules that module `name` imports, followed through theirs."""
+    found, todo = set(), {name}
+    while todo:
+        todo = set().union(*(_imported_modules((PACKAGE / f"{m}.py").read_text()) for m in todo))
+        todo -= found
+        found |= todo
+    return found
 
 
 def test_group_side_names_nothing_from_closure():
     # the BFS and the witness descent are derived from the tree action
     # only, so that their agreement with the window constraints means
-    # something; the two constraint-side functions show the walk sees a use
-    defined = _defined_names(closure)
-    assert {"_failing_windows", "_row_cosets", "CONSTRAINT_TABLE"} <= defined
-    group_side = [oracle.enumerate_quotient, oracle.QuotientSet.__init__,
-                  oracle.QuotientSet.witness, oracle._generator_moves.__wrapped__,
-                  oracle._left_tables, oracle._bfs_tables, oracle._left_product,
-                  oracle._key_halves, oracle._grow]
-    for function in group_side:
-        assert not _named(function.__code__) & defined, function.__qualname__
-    assert _named(oracle.verify_window_constraints.__code__) & defined == {"_failing_windows"}
-    assert _named(oracle.enumerate_admissible_decorations.__code__) & defined == {"_row_cosets"}
+    # something: no import of oracle's, followed through, reaches closure
+    assert _package_imports("oracle") == {"tree", "words"}
+    assert "closure" in _package_imports("cli")  # the walk does see a use
+    assert _imported_modules("def f():\n    from . import closure, tree\n") == {"closure", "tree"}
+    assert _imported_modules("import grigtree.words as w\nfrom grigtree import Portrait\n"
+                             "from .oracle import x\nimport numpy") == {"words", "__init__", "oracle"}
+
+
+#: grigtree's public names, its submodules aside.
+PUBLIC_NAMES = """
+ALPHABET Automorphism BetaProfile CONSTRAINT_TABLE ClosureVerdict Distance IDENTITY
+MealyAutomaton Portrait PortraitSet QuotientSet RecursionSystem TruncationAutomorphism
+VerificationReport WindowDecoration activity activity_profile activity_rows apply
+beta_from_counts beta_profile check_vertex check_word complete_window compose compose_all
+count count_p count_pq decompose_word distance element_of enumerate_admissible_decorations
+enumerate_quotient equal_to_depth f_automaton format_automaton free_bit_count
+grigorchuk_automaton hausdorff_estimate in_closure_up_to invert is_bounded_automaton k_word
+kbar_element load_portrait_set parse_automaton portrait_closure_verdict portrait_of reduce
+sample_closure_element save_portrait_set scattered_element section_at section_words
+simulates_grigorchuk verify_window_constraints window_at within_sixteenth_of_G word_element
+""".split()
+
+
+def test_public_namespace_is_pinned():
+    names = sorted(name for name, value in vars(gt).items()
+                   if not name.startswith("_") and not isinstance(value, ModuleType))
+    assert names == PUBLIC_NAMES
+    for module in (closure, oracle):
+        assert all(getattr(gt, name) is getattr(module, name) for name in module.__all__)
 
 
 def test_quotient_set_rejects_a_coset_found_twice():
@@ -493,7 +529,7 @@ def _drawer_words(seed, max_len, counts):
     """The words of successive `_sampled_words` calls of `counts` words."""
     out, letter = [], 0
     for count in counts:
-        words, letter = oracle._sampled_words(seed, len(out), count, max_len, letter)
+        words, letter = closure._sampled_words(seed, len(out), count, max_len, letter)
         out += words
     return out
 
@@ -519,10 +555,10 @@ def test_drawer_words_do_not_depend_on_the_split_into_calls(seed, max_len, count
                                             (4097, None)])
 def test_verify_checks_the_rng_loop_words_across_chunks(monkeypatch, samples, chunk):
     if chunk:
-        monkeypatch.setattr("grigtree.oracle.VERIFY_CHUNK", chunk)
+        monkeypatch.setattr("grigtree.closure.VERIFY_CHUNK", chunk)
     seen = []
     word_element = gt.word_element
-    monkeypatch.setattr("grigtree.oracle._word_element",
+    monkeypatch.setattr("grigtree.closure._word_element",
                         lambda w: seen.append(w) or word_element(w))
     assert gt.verify_window_constraints(samples, 9, 3).ok
     assert seen == _rng_loop_words(samples, 9, 3)
@@ -543,8 +579,8 @@ def test_forced_violations_are_listed_at_their_sample_positions(monkeypatch):
             int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"), 8))
 
     word_element = gt.word_element
-    monkeypatch.setattr("grigtree.oracle.VERIFY_CHUNK", 7)
-    monkeypatch.setattr("grigtree.oracle._word_element",
+    monkeypatch.setattr("grigtree.closure.VERIFY_CHUNK", 7)
+    monkeypatch.setattr("grigtree.closure._word_element",
                         lambda w: flipped(w) if w in targets else word_element(w))
     report = gt.verify_window_constraints(20, 12, 5)
     assert report.violations == targets
