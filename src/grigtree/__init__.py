@@ -13,6 +13,7 @@ from .tree import (
     Distance,
     IDENTITY,
     Portrait,
+    PortraitSet,
     TruncationAutomorphism,
     activity,
     activity_rows,
@@ -72,7 +73,6 @@ from .automata import (
     scattered_element,
 )
 from .oracle import (
-    PortraitSet,
     QuotientSet,
     enumerate_quotient,
     load_portrait_set,

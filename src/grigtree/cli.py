@@ -28,8 +28,8 @@ from .automata import (activity_profile, element_of, f_automaton,
                        kbar_element, parse_automaton)
 from .closure import (free_bit_count, hausdorff_estimate, in_closure_up_to,
                       sample_closure_element, verify_window_constraints)
-from .oracle import _check_level, enumerate_quotient, save_portrait_set
-from .tree import (Automorphism, Portrait, TruncationAutomorphism, apply,
+from .oracle import enumerate_quotient, save_portrait_set
+from .tree import (Automorphism, Portrait, TruncationAutomorphism, _check_level, apply,
                    check_vertex, portrait_of, vertex_label)
 from .words import _word_element, check_word, decompose_word, reduce, section_words
 

@@ -20,23 +20,25 @@ windows below consecutive vertices are three slices reshaped to 2, 4
 and 8 columns.  `_profiles` turns them into six-bit profiles, scored by
 a 64-entry table, for all windows in the closure check and for one in
 `window_at`, `beta_profile` and `simulates_grigorchuk`.  The forced-bit
-table is derived from the same 64 entries, and so are the coset ids
-that group the admissible rows.  The sampler fills a level at a time:
-rows L-2, L-1 and L hold the windows rooted at level L-3 side by side,
-and one lookup in the forced-bit table completes them.  Its drawn bits
-come from a counter hash: the bit at vertex index v is the top bit of
-SplitMix64's output function applied to the seed's key plus (v + 1)
-times the golden-ratio increment, hashed for the free vertices alone.
+table and the coset ids that group the admissible rows are derived from
+the same 64 entries, in one pass over the 256 level-3 rows
+(`_window_tables`).  The sampler fills a level at a time: rows L-2, L-1
+and L hold the windows rooted at level L-3 side by side, and one lookup
+in the forced-bit table completes them.  Its drawn bits come from a
+counter hash: the bit at vertex index v is the top bit of SplitMix64's
+output function applied to the seed's key plus (v + 1) times the
+golden-ratio increment, hashed for the free vertices alone.
 
 The constraint side of the level-n cross-check is here too; the group
-side, a BFS that never reads the constraints, is the oracle module.  The
-admissible enumeration adds one level row at a time, in the highest bits
-of the key, with no sort: a window's admissible rows are one coset of a
-fixed 5-dimensional subspace of GF(2)^8, so the keys of a level fall into
-classes that admit the same rows.  The random-word check draws its words
-from the same counter hash, one hash per word for its length and one per
-32 letters, and scores the depth-8 windows of a chunk of words, built
-from one state table, in one pass.
+side, a BFS that never reads the constraints, is the oracle module, and
+neither module imports the other.  The admissible enumeration adds one
+level row at a time, in the highest bits of the key, with no sort: a
+window's admissible rows are one coset of a fixed 5-dimensional subspace
+of GF(2)^8, so the keys of a level fall into classes that admit the same
+rows.  The random-word check draws its words from the same counter hash,
+one hash per word for its length and one per 32 letters, and scores the
+depth-8 windows of a chunk of words, built from one state table, in one
+pass.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .oracle import PortraitSet, _check_level
-from .tree import Automorphism, Portrait, _table_rows, portrait_of, vertex_index, vertex_label
-from .words import ALPHABET, _word_element
+from .tree import (Automorphism, Portrait, PortraitSet, _check_level, _table_rows, portrait_of,
+                   vertex_index, vertex_label)
+from .words import ALPHABET, _word_state
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -141,45 +143,41 @@ def _failing_windows(bits: np.ndarray) -> np.ndarray:
     return ~_ADMISSIBLE[_profiles(*_windows(bits, 0, n))].reshape(*bits.shape[:-1], n)
 
 
+#: The bits of each 8-bit level-3 row value: _ROW_BITS[row, r] = a_r, r
+#: read as three binary digits (built without numpy shifts, as
+#: `_BYTE_LETTERS` is).
+_ROW_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+
+
 @lru_cache(maxsize=None)
-def _window_rows() -> np.ndarray:
-    """rows[ctx, free] is the admissible level-3 row of a window, as 8
-    bits (bit r = a_r, r read as three binary digits), given the six
-    bits ctx = a_0 a_1 a_00 a_01 a_10 a_11 above it (most significant
-    first) and its free-bit index.  A window's profile is ctx ^ pairs,
-    the row's pair xors read as a profile under a zero context, and
-    exactly one admissible row has each (context, free bits)."""
-    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
-    zero = np.zeros((256, 4), dtype=bits.dtype)
-    ctx, row = np.nonzero(_ADMISSIBLE[np.arange(64)[:, None] ^ _profiles(zero, zero, bits)])
-    cell = ctx * 32 + sum(bits[row, r] << j for j, r in enumerate(_FREE))
+def _window_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, syndrome, coset): the tables of a window's level-3 row, read
+    as 8 bits (bit r = a_r), and of the six bits ctx = a_0 a_1 a_00 a_01
+    a_10 a_11 above it (most significant first).
+
+    A window's profile is ctx ^ pairs, the row's pair xors read as a
+    profile under a zero context, and exactly one admissible row has each
+    (context, free bits): rows[ctx, free], for the free-bit index free.
+    The pair xors are the row's own four betas, which must be one of two
+    complementary patterns fixed by the context.  So the smaller pattern
+    of the pair, the coset id syndrome[row], is the same, coset[ctx], for
+    all 32 admissible rows of a context.  That is a linear map onto
+    GF(2)^3 whose kernel V is 5-dimensional: the admissible rows of every
+    context are one coset of V."""
+    zero = np.zeros((256, 4), dtype=np.uint8)
+    pairs = _profiles(zero, zero, _ROW_BITS)
+    ctx, row = np.nonzero(_ADMISSIBLE[np.arange(64)[:, None] ^ pairs])
+    cell = ctx * 32 + sum(_ROW_BITS[row, r] << j for j, r in enumerate(_FREE))
     assert np.array_equal(np.sort(cell), np.arange(64 * 32)), "forcing is not unique"
     rows = np.zeros(64 * 32, dtype=np.uint32)
     rows[cell] = row
     rows = rows.reshape(64, 32)
-    rows.flags.writeable = False
-    return rows
-
-
-@lru_cache(maxsize=None)
-def _row_cosets() -> tuple[np.ndarray, np.ndarray]:
-    """(syndrome, coset): the coset id syndrome[row] of each 8-bit level-3
-    row, and the id coset[ctx] shared by all 32 admissible rows of each
-    context.  A row's own four betas (its pair xors) must be one of two
-    complementary patterns fixed by the context, so the id is the smaller
-    pattern of the complementary pair the row's betas belong to.  That is
-    a linear map onto GF(2)^3 whose kernel V is 5-dimensional: the
-    admissible rows of every context are one coset of V."""
-    row_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
-    above = np.zeros((256, 4), dtype=row_bits.dtype)
-    betas = _profiles(above[:, :2], above, row_bits)
-    syndrome = np.minimum(betas, betas ^ 15).astype(np.uint8)
-    rows = _window_rows()
+    syndrome = np.minimum(pairs, pairs ^ 15)
     coset = syndrome[rows[:, 0]]
     assert np.array_equal(np.bincount(syndrome), [32] * 8), "V is not 5-dimensional"
     assert np.all(syndrome[rows] == coset[:, None]), "admissible rows are not a coset of V"
-    syndrome.flags.writeable = coset.flags.writeable = False
-    return syndrome, coset
+    rows.flags.writeable = syndrome.flags.writeable = coset.flags.writeable = False
+    return rows, syndrome, coset
 
 
 @dataclass(frozen=True)
@@ -303,7 +301,7 @@ def complete_window(
             or not set((*level1, *level2, *free)) <= {0, 1}):
         raise ValueError("window inputs must be 2, 4 and 5 bits")
     ctx = sum(bit << (5 - j) for j, bit in enumerate((*level1, *level2)))
-    row = int(_window_rows()[ctx, sum(bit << j for j, bit in enumerate(free))])
+    row = int(_window_tables()[0][ctx, sum(bit << j for j, bit in enumerate(free))])
     return WindowDecoration(tuple(level1), tuple(level2),
                             tuple((row >> r) & 1 for r in range(8)))
 
@@ -322,18 +320,13 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _seed_bits(seed: int, level: int) -> np.ndarray:
-    """The drawn bit of every vertex of a level: at vertex index v, the
-    top bit of mix64(mix64(seed) + (v + 1) * 0x9E3779B97F4A7C15) in
-    wrapping uint64 arithmetic.  A bit depends only on the seed and its
-    vertex, so extending the depth never changes the bits already drawn."""
-    return _drawn_bits(_mix64(np.array([seed], dtype=np.uint64)), level)
-
-
 def _drawn_bits(key: np.ndarray, level: int, step: int = 1, offset=0) -> np.ndarray:
-    """`_seed_bits` of a level, key being mix64(seed), at the vertices
-    offset, offset + step, ... of the level only (a column of offsets
-    gives one row of bits per offset)."""
+    """The drawn bits of a level, key being mix64(seed): at vertex index
+    v, the top bit of mix64(key + (v + 1) * 0x9E3779B97F4A7C15) in
+    wrapping uint64 arithmetic, at the vertices offset, offset + step,
+    ... of the level only (a column of offsets gives one row of bits per
+    offset).  A bit depends only on the seed and its vertex, so extending
+    the depth never changes the bits already drawn."""
     counter = np.arange(1 << level, 2 << level, step, dtype=np.uint64) + offset  # v + 1
     return (_mix64(counter * _GOLDEN + key) >> 63).astype(np.uint8)
 
@@ -354,7 +347,7 @@ def sample_closure_element(seed: int, depth: int) -> Portrait:
         raise ValueError("sampling needs depth >= 4")
     key = _mix64(np.array([seed], dtype=np.uint64))
     rows = [_drawn_bits(key, level) for level in range(3)]
-    table = _window_rows()
+    table = _window_tables()[0]
     for level in range(3, depth):
         l1 = rows[level - 2].reshape(-1, 2)
         l2 = rows[level - 1].reshape(-1, 4)
@@ -373,7 +366,7 @@ def enumerate_admissible_decorations(n: int) -> PortraitSet:
     Levels 0-2 are free.  Row L >= 3 is the bottom row of the m = 2^(L-3)
     windows rooted at level L-3, and it fills the highest bits of the
     key.  The admissible rows of a window are one coset of a fixed
-    5-dimensional subspace of GF(2)^8 (`_row_cosets`), picked by the
+    5-dimensional subspace of GF(2)^8 (`_window_tables`), picked by the
     window's context, so a key admits exactly the rows whose m coset ids
     equal its own tuple of context coset ids.  Keys with one tuple
     form a class (a stable sort keeps each class ascending), and every
@@ -384,7 +377,7 @@ def enumerate_admissible_decorations(n: int) -> PortraitSet:
     """
     _check_level(n)
     keys = np.arange(1 << ((1 << min(n, 3)) - 1), dtype=np.uint32)
-    syndrome, coset = _row_cosets()
+    _, syndrome, coset = _window_tables()
     for level in range(3, n):
         above, mid, low = ((1 << (level - d)) - 1 for d in (2, 1, 0))
         m = 1 << (level - 3)
@@ -482,7 +475,8 @@ def verify_window_constraints(samples: int, max_len: int, seed: int = 0) -> Veri
     `_sampled_words`).  The words of each chunk of VERIFY_CHUNK samples
     share one state table (`tree._table_rows`), so a section that several
     words have in common is expanded once, and all their windows are
-    scored in one pass.
+    scored in one pass.  Every root is a word state, the empty word too,
+    so each level of the table is expanded in one call.
     """
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
@@ -495,7 +489,7 @@ def verify_window_constraints(samples: int, max_len: int, seed: int = 0) -> Veri
     for start in range(0, samples, VERIFY_CHUNK):
         words, letter = _sampled_words(seed, start, min(VERIFY_CHUNK, samples - start),
                                        max_len, letter)
-        rows = _table_rows(map(_word_element, words), 8)
+        rows = _table_rows(map(_word_state, words), 8)
         bad = _failing_windows(np.concatenate(list(rows), axis=1)).any(axis=1)
         report.violations.extend(words[i] for i in np.flatnonzero(bad))
     return report

@@ -4,8 +4,10 @@ A breadth-first search of the Grigorchuk group modulo level-n
 stabilizers, working with honest generator products and nothing
 constraint-based.  Its agreement at levels up to 5 with the enumeration
 of decorations admitted by the window constraints (in the closure
-module, which imports this one and never the reverse) is the desk-scale
-certificate for the closure characterization.
+module) is the desk-scale certificate for the closure characterization.
+The two derivations are siblings: each imports only the tree module,
+which holds the PortraitSet both return, and the words module; neither
+imports the other.
 
 A coset of the level-n stabilizer is named by its portrait key
 (bit-packed as in Portrait.pack, at most 31 bits), and the BFS works on
@@ -40,79 +42,19 @@ from __future__ import annotations
 import functools
 import os
 import struct
-from typing import Iterator
 
 import numpy as np
 
-from .tree import Portrait, apply, portrait_of, vertex_index, vertex_label
+from .tree import (Portrait, PortraitSet, _check_level, _position, apply, portrait_of,
+                   vertex_index, vertex_label)
 from .words import ALPHABET, word_element
 
 __all__ = [
-    "PortraitSet",
     "QuotientSet",
     "enumerate_quotient",
     "save_portrait_set",
     "load_portrait_set",
 ]
-
-MAX_LEVEL = 5
-
-
-def _check_level(n: int) -> int:
-    if not 1 <= n <= MAX_LEVEL:
-        raise ValueError(f"level must be between 1 and {MAX_LEVEL}, got {n}")
-    return n
-
-
-def _position(sorted_keys: np.ndarray, key: int) -> int | None:
-    """Position of key in sorted uint32 keys, or None if absent."""
-    if not 0 <= key <= 0xFFFFFFFF:
-        return None
-    # a uint32 needle keeps numpy from casting the whole array
-    i = int(np.searchsorted(sorted_keys, np.uint32(key)))
-    return i if i < sorted_keys.size and int(sorted_keys[i]) == key else None
-
-
-class PortraitSet:
-    """A set of depth-n portraits, stored as sorted packed keys.  Keys
-    already strictly increasing are not sorted again; they are copied
-    unless read-only (as `load_portrait_set` and
-    `enumerate_admissible_decorations` give them)."""
-
-    def __init__(self, level: int, keys: np.ndarray):
-        self.level = level
-        keys = np.asarray(keys, dtype=np.uint32)
-        if not np.all(keys[1:] > keys[:-1]):
-            keys = np.sort(keys)
-            first = np.ones(keys.size, dtype=bool)  # the first of each run of equal keys
-            np.not_equal(keys[1:], keys[:-1], out=first[1:])
-            keys = keys if first.all() else keys[first]
-        elif keys.flags.writeable:
-            keys = keys.copy()
-        self.keys = keys
-
-    def __len__(self) -> int:
-        return int(self.keys.size)
-
-    def key_of(self, item: Portrait | int) -> int:
-        if isinstance(item, Portrait):
-            if item.depth != self.level:
-                raise ValueError(
-                    f"portrait depth {item.depth} does not match set level {self.level}")
-            return item.pack()
-        return int(item)
-
-    def __contains__(self, item: Portrait | int) -> bool:
-        return _position(self.keys, self.key_of(item)) is not None
-
-    def portraits(self) -> Iterator[Portrait]:
-        for key in self.keys:
-            yield Portrait.unpack(int(key), self.level)
-
-    __iter__ = portraits
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(level={self.level}, size={len(self)})"
 
 
 class QuotientSet(PortraitSet):

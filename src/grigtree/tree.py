@@ -19,7 +19,8 @@ way).  `section`, `section_at` and `apply` are this pointwise API.
 A portrait stores one bit row in vertex order (level by level,
 lexicographic within a level): vertex u has index vertex_index(u),
 vertex v has its children at 2v+1 and 2v+2, and level n below v is the
-slice of 2^n bits from (v+1)*2^n - 1.
+slice of 2^n bits from (v+1)*2^n - 1.  A PortraitSet holds depth-n
+portraits (n <= MAX_LEVEL) as the sorted uint32 keys of `Portrait.pack`.
 
 `activity_rows` builds whole levels without walking sections vertex by
 vertex, in one of three ways:
@@ -366,6 +367,67 @@ class Portrait:
             raise ValueError(f"invalid portrait line {bad!r}")
         ends = accumulate(map(len, lines))
         return cls(codes[end - len(line):end] for line, end in zip(lines, ends))
+
+
+#: The deepest level of a portrait set: its keys are at most 31 bits.
+MAX_LEVEL = 5
+
+
+def _check_level(n: int) -> int:
+    if not 1 <= n <= MAX_LEVEL:
+        raise ValueError(f"level must be between 1 and {MAX_LEVEL}, got {n}")
+    return n
+
+
+def _position(sorted_keys: np.ndarray, key: int) -> int | None:
+    """Position of key in sorted uint32 keys, or None if absent."""
+    if not 0 <= key <= 0xFFFFFFFF:
+        return None
+    # a uint32 needle keeps numpy from casting the whole array
+    i = int(np.searchsorted(sorted_keys, np.uint32(key)))
+    return i if i < sorted_keys.size and int(sorted_keys[i]) == key else None
+
+
+class PortraitSet:
+    """A set of depth-n portraits, stored as sorted packed keys
+    (`Portrait.pack`).  Keys already strictly increasing are not sorted
+    again; they are copied unless read-only (as `load_portrait_set` and
+    `enumerate_admissible_decorations` give them)."""
+
+    def __init__(self, level: int, keys: np.ndarray):
+        self.level = level
+        keys = np.asarray(keys, dtype=np.uint32)
+        if not np.all(keys[1:] > keys[:-1]):
+            keys = np.sort(keys)
+            first = np.ones(keys.size, dtype=bool)  # the first of each run of equal keys
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            keys = keys if first.all() else keys[first]
+        elif keys.flags.writeable:
+            keys = keys.copy()
+        self.keys = keys
+
+    def __len__(self) -> int:
+        return int(self.keys.size)
+
+    def key_of(self, item: Portrait | int) -> int:
+        if isinstance(item, Portrait):
+            if item.depth != self.level:
+                raise ValueError(
+                    f"portrait depth {item.depth} does not match set level {self.level}")
+            return item.pack()
+        return int(item)
+
+    def __contains__(self, item: Portrait | int) -> bool:
+        return _position(self.keys, self.key_of(item)) is not None
+
+    def portraits(self) -> Iterator[Portrait]:
+        for key in self.keys:
+            yield Portrait.unpack(int(key), self.level)
+
+    __iter__ = portraits
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(level={self.level}, size={len(self)})"
 
 
 class TruncationAutomorphism(Automorphism):

@@ -215,7 +215,7 @@ def test_cli_import_loads_no_hashlib_numpy_random_or_fractions():
     assert out.stdout.splitlines()[1].split() == ["False"] * 4
 
 
-#: Output of the SplitMix64 counter stream of `closure._seed_bits`.
+#: Output of `sample`, whose bits come from the SplitMix64 counter hash (`closure._drawn_bits`).
 SAMPLE_SHA256 = {
     (0, 4): "8e55ec28247270f9390604bf658ce8b04d9f5fb31cc50dbbd2f70e063d1a98e0",
     (0, 9): "99d5436b2329772a09b81789295cab69c01be1d3b64941d05171ffb18ed6d534",
@@ -328,8 +328,8 @@ def _quiet(argv):
 
 @pytest.mark.parametrize("argv, calls", [
     # 511,487 with one rng.choice per letter, 145,637 with one decomposition per
-    # word, 34,096 with Mersenne Twister words
-    (["verify", "--samples", "1000"], 27_612),
+    # word, 34,096 with Mersenne Twister words, 27,612 with IDENTITY roots
+    (["verify", "--samples", "1000"], 26_611),
     # 459 while every vertex of a level was hashed and the free index summed
     (["sample", "--depth", "16"], 325),
     # state tables of the three other element families: 477, 841 and 1,049

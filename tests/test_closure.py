@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import grigtree as gt
 from grigtree import IDENTITY
-from grigtree.closure import (_ADMISSIBLE, _FREE, _drawn_bits, _mix64, _profiles, _seed_bits,
-                              _window_rows)
+from grigtree.closure import _ADMISSIBLE, _FREE, _drawn_bits, _mix64, _profiles, _window_tables
 
 words = st.text(alphabet="abcd", max_size=24)
 
@@ -282,12 +281,17 @@ def reference_seed_bit(seed, v):
     return splitmix64_mix((key + (v + 1) * 0x9E3779B97F4A7C15) & MASK64) >> 63
 
 
+def seed_bits(seed, level):
+    """Every drawn bit of a level, as `sample` draws levels 0-2."""
+    return _drawn_bits(_mix64(np.array([seed], dtype=np.uint64)), level)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 5, 1 << 63, (1 << 64) - 1])
 def test_seed_bits_match_a_python_splitmix64(seed):
     for level in range(13):
         first = (1 << level) - 1  # vertex index of the level's first vertex
         expected = [reference_seed_bit(seed, first + i) for i in range(1 << level)]
-        assert _seed_bits(seed, level).tolist() == expected
+        assert seed_bits(seed, level).tolist() == expected
 
 
 @given(st.integers(min_value=0, max_value=(1 << 64) - 1), st.integers(min_value=3, max_value=12))
@@ -296,7 +300,7 @@ def test_free_bit_draw_is_the_free_columns_of_the_seed_bits(seed, level):
     # the sampler hashes only the free vertices of each window row
     key = _mix64(np.array([seed], dtype=np.uint64))
     free = _drawn_bits(key, level, 8, _FREE[:, None])
-    assert np.array_equal(free, _seed_bits(seed, level).reshape(-1, 8)[:, _FREE].T)
+    assert np.array_equal(free, seed_bits(seed, level).reshape(-1, 8)[:, _FREE].T)
 
 
 def window_rows_reference():
@@ -316,7 +320,7 @@ def window_rows_reference():
 
 
 def test_window_rows_match_the_brute_force_table():
-    rows = _window_rows()
+    rows = _window_tables()[0]
     assert rows.dtype == np.uint32 and not rows.flags.writeable
     assert np.array_equal(rows, window_rows_reference())
 

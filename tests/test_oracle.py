@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import grigtree as gt
 from grigtree import Portrait, TruncationAutomorphism, closure, oracle
-from grigtree.closure import _row_cosets, _window_rows
+from grigtree.closure import _window_tables
 from grigtree.oracle import (QuotientSet, _generator_moves, _key_halves, _left_product,
                              _left_tables)
 from grigtree.tree import vertex_index, vertex_label
@@ -110,7 +110,7 @@ def extension_reference(n):
     level, filling the 3 forced bits from the constraint table, and sort
     the keys at the end."""
     keys = np.arange(1 << ((1 << min(n, 3)) - 1), dtype=np.uint32)
-    rows = _window_rows()
+    rows = _window_tables()[0]
     for level in range(3, n):
         above, mid, low = ((1 << (level - d)) - 1 for d in (2, 1, 0))
         out = keys[:, None]
@@ -126,12 +126,12 @@ def extension_reference(n):
 
 
 def test_admissible_rows_of_every_context_are_a_coset_of_one_subspace():
-    rows = _window_rows().astype(int)
+    rows = _window_tables()[0].astype(int)
     space = sorted(set((rows[0] ^ rows[0, 0]).tolist()))
     assert len(space) == 32 and {u ^ v for u in space for v in space} == set(space)
     assert all(sorted((row ^ row[0]).tolist()) == space for row in rows)
     assert len({tuple(sorted(row)) for row in rows.tolist()}) == 8
-    syndrome, coset = _row_cosets()
+    _, syndrome, coset = _window_tables()
     for ctx in range(64):
         assert set(np.flatnonzero(syndrome == coset[ctx]).tolist()) == set(rows[ctx].tolist())
 
@@ -417,13 +417,54 @@ def _package_imports(name: str) -> set[str]:
 
 def test_group_side_names_nothing_from_closure():
     # the BFS and the witness descent are derived from the tree action
-    # only, so that their agreement with the window constraints means
-    # something: no import of oracle's, followed through, reaches closure
+    # only, and the admissible enumeration from the window constraints
+    # only, so that their agreement means something: no import of either
+    # module, followed through, reaches the other
     assert _package_imports("oracle") == {"tree", "words"}
+    assert _package_imports("closure") == {"tree", "words"}
     assert "closure" in _package_imports("cli")  # the walk does see a use
     assert _imported_modules("def f():\n    from . import closure, tree\n") == {"closure", "tree"}
     assert _imported_modules("import grigtree.words as w\nfrom grigtree import Portrait\n"
                              "from .oracle import x\nimport numpy") == {"words", "__init__", "oracle"}
+
+
+def _unused_private_names(sources: dict[str, str]) -> set[str]:
+    """The module-level private names (one leading underscore) of module
+    sources, as "module.name", that no source loads besides defining
+    them: as a name, an attribute or an imported name."""
+    defined, loaded = set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined |= {(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.alias):
+                loaded.add(node.name)
+    return {f"{module}.{name}" for module, name in defined if name not in loaded}
+
+
+def test_every_private_name_is_used_in_the_package():
+    # a private helper that only tests call is code kept for tests
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert _unused_private_names(sources) == set()
+    assert _unused_private_names({
+        "m": "_dead = 1\n_named = 2\ndef _attr(): pass\nclass _Alias: pass\n"
+             "def f():\n    _dead = _named\n",
+        "n": "from .m import _Alias\nfrom . import m\nx = m._attr\n",
+    }) == {"m._dead"}
 
 
 #: grigtree's public names, its submodules aside.
@@ -557,9 +598,9 @@ def test_verify_checks_the_rng_loop_words_across_chunks(monkeypatch, samples, ch
     if chunk:
         monkeypatch.setattr("grigtree.closure.VERIFY_CHUNK", chunk)
     seen = []
-    word_element = gt.word_element
-    monkeypatch.setattr("grigtree.closure._word_element",
-                        lambda w: seen.append(w) or word_element(w))
+    word_state = gt.words._word_state
+    monkeypatch.setattr("grigtree.closure._word_state",
+                        lambda w: seen.append(w) or word_state(w))
     assert gt.verify_window_constraints(samples, 9, 3).ok
     assert seen == _rng_loop_words(samples, 9, 3)
 
@@ -578,10 +619,10 @@ def test_forced_violations_are_listed_at_their_sample_positions(monkeypatch):
         return TruncationAutomorphism(Portrait.unpack(
             int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"), 8))
 
-    word_element = gt.word_element
+    word_state = gt.words._word_state
     monkeypatch.setattr("grigtree.closure.VERIFY_CHUNK", 7)
-    monkeypatch.setattr("grigtree.closure._word_element",
-                        lambda w: flipped(w) if w in targets else word_element(w))
+    monkeypatch.setattr("grigtree.closure._word_state",
+                        lambda w: flipped(w) if w in targets else word_state(w))
     report = gt.verify_window_constraints(20, 12, 5)
     assert report.violations == targets
     assert report.summary() == "seed=5 samples=20 max_len=12 violations=2"
