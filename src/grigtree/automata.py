@@ -161,7 +161,7 @@ class RecursionSystem:
         self._elements = {sym: _RecursionEntry(sym, act)
                           for sym, (_, _, act) in self.definitions.items()}
         for sym, (s0, s1, _) in self.definitions.items():
-            self._elements[sym].children = (self._resolve(s0), self._resolve(s1))
+            self._elements[sym]._sections = (self._resolve(s0), self._resolve(s1))
 
     def element(self, symbol: str) -> Automorphism:
         if symbol not in self._elements:
@@ -173,14 +173,16 @@ class RecursionSystem:
 
 
 class _RecursionEntry(Automorphism):
-    __slots__ = ("symbol", "root_activity", "children")
+    """A symbol of a recursion system, which sets its `_sections`."""
+
+    __slots__ = ("symbol", "root_activity")
 
     def __init__(self, symbol: str, root_activity: int):
         self.symbol = symbol
         self.root_activity = root_activity
 
     def _children(self) -> tuple[Automorphism, Automorphism]:
-        return self.children
+        return self._sections
 
     def __repr__(self) -> str:
         return f"<recursion symbol {self.symbol!r}>"

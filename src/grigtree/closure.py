@@ -52,7 +52,7 @@ import numpy as np
 
 from .tree import (Automorphism, Portrait, PortraitSet, _check_level, _table_rows, portrait_of,
                    vertex_index, vertex_label)
-from .words import ALPHABET, _word_state
+from .words import ALPHABET, WordAutomorphism
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -489,7 +489,7 @@ def verify_window_constraints(samples: int, max_len: int, seed: int = 0) -> Veri
     for start in range(0, samples, VERIFY_CHUNK):
         words, letter = _sampled_words(seed, start, min(VERIFY_CHUNK, samples - start),
                                        max_len, letter)
-        rows = _table_rows(map(_word_state, words), 8)
+        rows = _table_rows(map(WordAutomorphism, words), 8)
         bad = _failing_windows(np.concatenate(list(rows), axis=1)).any(axis=1)
         report.violations.extend(words[i] for i in np.flatnonzero(bad))
     return report

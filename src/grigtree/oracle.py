@@ -14,8 +14,8 @@ A coset of the level-n stabilizer is named by its portrait key
 uint32 arrays of keys.  It multiplies on the left: act(s*g, u) =
 act(s, u) xor act(g, u^s), so key(s*g) is key(g) with its bits permuted
 by s acting on the vertices, xor key(s).  A product is two gathers, one
-from a 65,536-entry table per 16-bit half of the key, derived from the
-tree action of the generator itself.
+from a 65,536-entry table per 16-bit half of the key, read off the
+generator's activity rows and the level permutations that products use.
 
 The BFS checks each layer only against itself, in the same sort that
 dedupes its candidates: the generators are involutions, and a coset is
@@ -42,11 +42,12 @@ from __future__ import annotations
 import functools
 import os
 import struct
+from itertools import accumulate
 
 import numpy as np
 
-from .tree import (Portrait, PortraitSet, _check_level, _position, apply, portrait_of,
-                   vertex_index, vertex_label)
+from .tree import (Portrait, PortraitSet, _ROOT_IMAGE, _check_level, _extend_image, _position,
+                   activity_rows)
 from .words import ALPHABET, word_element
 
 __all__ = [
@@ -108,16 +109,18 @@ def _generator_moves(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The left action of the generators (rows in ALPHABET order) on
     depth-n keys: key(s*g) = shift[s] xor the sum of moved[s, j] over the
     set bits j of key(g).  Bit u of key(s*g) is bit u^s of key(g) xor bit
-    u of key(s) = shift[s], so bit j of key(g) moves to the one bit
-    moved[s, j]; all of it comes from the tree action of the generators."""
+    u of key(s) = shift[s], so the bit of key(g) at vertex u^s moves to
+    bit u.  The vertices u^s are read off the activity rows of s, level by
+    level, through the level permutations that products use."""
     bits = (1 << n) - 1
     moved = np.zeros((len(ALPHABET), bits), dtype=np.uint32)
     shift = np.zeros(len(ALPHABET), dtype=np.uint32)
-    for row, letter in enumerate(ALPHABET):
-        s = word_element(letter)
-        for p in range(bits):
-            moved[row, vertex_index(apply(s, vertex_label(p)))] = 1 << p
-        shift[row] = portrait_of(s, n).pack()
+    for s, letter in enumerate(ALPHABET):
+        rows = list(activity_rows(word_element(letter), n))
+        images = accumulate(rows[:-1], _extend_image, initial=_ROOT_IMAGE)  # level by level
+        image = np.concatenate([img + (1 << level) - 1 for level, img in enumerate(images)])
+        moved[s, image] = np.uint32(1) << np.arange(bits, dtype=np.uint32)
+        shift[s] = Portrait(rows).pack()
     moved.flags.writeable = shift.flags.writeable = False
     return moved, shift
 

@@ -279,13 +279,14 @@ class WordAutomorphism(Automorphism):
     """Automorphism backed by a generator word; sections are computed by
     wreath decomposition of the word and then reduced.  The group is
     contracting, so reduced sections shrink quickly with depth (raw ones
-    never grow, but barely shrink).  The word is checked once, here:
-    sections are valid by construction and skip the check."""
+    never grow, but barely shrink).  The word is not checked here: every
+    entry that takes a word from outside checks it (`word_element` among
+    them), and sections are valid by construction."""
 
     __slots__ = ("word",)
 
     def __init__(self, word: str):
-        self.word = check_word(word)
+        self.word = word
 
     @property
     def root_activity(self) -> int:
@@ -300,7 +301,7 @@ class WordAutomorphism(Automorphism):
         """The reduced sections of all the states' words.  Each section,
         the empty word too, is a word state, so a level of a table of
         words holds words only and goes to this one call."""
-        return [_word_state(w) for w in _reduced_sections([g.word for g in states])]
+        return [WordAutomorphism(w) for w in _reduced_sections([g.word for g in states])]
 
     def _state_key(self) -> object:
         return self.word
@@ -320,16 +321,7 @@ def word_element(word: str) -> Automorphism:
 
 def _word_element(word: str) -> Automorphism:
     """`word_element` of a word known to be valid."""
-    if not word:
-        return IDENTITY
-    return _word_state(word)
-
-
-def _word_state(word: str) -> WordAutomorphism:
-    """The WordAutomorphism of a word known to be valid, the empty one too."""
-    g = WordAutomorphism.__new__(WordAutomorphism)
-    g.word = word
-    return g
+    return WordAutomorphism(word) if word else IDENTITY
 
 
 def _reduced_sections(words: list[str]) -> list[str]:

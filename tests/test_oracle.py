@@ -362,6 +362,20 @@ def test_generator_moves_keep_the_top_vertex_but_for_a(n):
     assert bool(shift[0] & high) == (n == 1)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_generator_moves_match_the_vertex_walk(n):
+    # the tables read the action off level permutations (`tree._extend_image`),
+    # as products do; this reference walks `apply` over vertex labels instead
+    moved, shift = _generator_moves(n)
+    for row, letter in enumerate(gt.ALPHABET):
+        s = gt.word_element(letter)
+        expected = [0] * ((1 << n) - 1)
+        for p in range(len(expected)):
+            expected[vertex_index(gt.apply(s, vertex_label(p)))] = 1 << p
+        assert moved[row].tolist() == expected
+        assert int(shift[row]) == gt.portrait_of(s, n).pack()
+
+
 @pytest.mark.parametrize("n, candidates", [(3, 196), (4, 7_082)])
 def test_bfs_candidate_count_is_gated(n, candidates, monkeypatch):
     # every candidate is one _left_product entry (7,533,446 at level 5)
@@ -598,8 +612,8 @@ def test_verify_checks_the_rng_loop_words_across_chunks(monkeypatch, samples, ch
     if chunk:
         monkeypatch.setattr("grigtree.closure.VERIFY_CHUNK", chunk)
     seen = []
-    word_state = gt.words._word_state
-    monkeypatch.setattr("grigtree.closure._word_state",
+    word_state = gt.words.WordAutomorphism
+    monkeypatch.setattr("grigtree.closure.WordAutomorphism",
                         lambda w: seen.append(w) or word_state(w))
     assert gt.verify_window_constraints(samples, 9, 3).ok
     assert seen == _rng_loop_words(samples, 9, 3)
@@ -619,9 +633,9 @@ def test_forced_violations_are_listed_at_their_sample_positions(monkeypatch):
         return TruncationAutomorphism(Portrait.unpack(
             int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"), 8))
 
-    word_state = gt.words._word_state
+    word_state = gt.words.WordAutomorphism
     monkeypatch.setattr("grigtree.closure.VERIFY_CHUNK", 7)
-    monkeypatch.setattr("grigtree.closure._word_state",
+    monkeypatch.setattr("grigtree.closure.WordAutomorphism",
                         lambda w: flipped(w) if w in targets else word_state(w))
     report = gt.verify_window_constraints(20, 12, 5)
     assert report.violations == targets

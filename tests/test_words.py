@@ -327,6 +327,8 @@ def test_word_kernels_reject_invalid_letters_like_the_references(w):
     assert _error(gt.reduce, w) == _error(letter_reduce, w)
     assert _error(gt.decompose_word, w) == _error(letter_decompose, w)
     assert _error(gt.beta_from_counts, w) == _error(letter_beta, w)
+    # the word state's constructor takes valid words only: its entry checks
+    assert _error(gt.word_element, w) == _error(letter_reduce, w)
 
 
 def test_decompose_names_the_first_invalid_letter():
