@@ -16,10 +16,10 @@ other) are decided by one linear backward search, `_backward`.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .tree import Automorphism, IDENTITY, activity_rows, check_vertex
+from .tree import Automorphism, IDENTITY, activity_rows, check_vertex, invert
 from .words import _word_element, check_word
 
 
@@ -158,7 +158,7 @@ class RecursionSystem:
                 elif not isinstance(ref, Automorphism):
                     raise TypeError(
                         f"symbol {sym!r}: sections must be symbol names or automorphisms")
-        self._elements = {sym: _RecursionEntry(sym, act)
+        self._elements = {sym: _RecursionEntry(self, sym, act)
                           for sym, (_, _, act) in self.definitions.items()}
         for sym, (s0, s1, _) in self.definitions.items():
             self._elements[sym]._sections = (self._resolve(s0), self._resolve(s1))
@@ -171,18 +171,35 @@ class RecursionSystem:
     def _resolve(self, ref) -> Automorphism:
         return self._elements[ref] if isinstance(ref, str) else ref
 
+    @cached_property
+    def _inverse(self) -> "RecursionSystem":
+        """The system of the inverted symbols, built on the first `invert`:
+        g = (g_0, g_1) sigma^e inverts to (g_e^-1, g_(1-e)^-1) sigma^e, where
+        a symbol keeps its name and a concrete section is inverted.  Its
+        own inverse is this system."""
+        def inv(ref):
+            return ref if isinstance(ref, str) else invert(ref)
+        inverse = RecursionSystem({sym: (inv(pair[e]), inv(pair[1 - e]), e)
+                                   for sym, (*pair, e) in self.definitions.items()})
+        inverse._inverse = self
+        return inverse
+
 
 class _RecursionEntry(Automorphism):
     """A symbol of a recursion system, which sets its `_sections`."""
 
-    __slots__ = ("symbol", "root_activity")
+    __slots__ = ("system", "symbol", "root_activity")
 
-    def __init__(self, symbol: str, root_activity: int):
+    def __init__(self, system: RecursionSystem, symbol: str, root_activity: int):
+        self.system = system
         self.symbol = symbol
         self.root_activity = root_activity
 
     def _children(self) -> tuple[Automorphism, Automorphism]:
         return self._sections
+
+    def _invert(self) -> Automorphism:
+        return self.system._inverse._elements[self.symbol]
 
     def __repr__(self) -> str:
         return f"<recursion symbol {self.symbol!r}>"

@@ -27,10 +27,10 @@ vertex, in one of three ways:
 
 * a truncation and its sections are views (portrait, v) whose levels are
   such slices;
-* a product or an inverse folds its factors' rows through their level
-  permutations.  The level-n permutation of g starts from img_0 = [0]
-  and extends by img_{n+1}[2i+x] = 2 img_n[i] + (x ^ row_n[i]); then
-  row(gh) = row(g) ^ row(h)[img(g)] and row(g^-1)[img(g)] = row(g);
+* a product folds its factors' rows through their level permutations.
+  The level-n permutation of g starts from img_0 = [0] and extends by
+  img_{n+1}[2i+x] = 2 img_n[i] + (x ^ row_n[i]); then
+  row(gh) = row(g) ^ row(h)[img(g)];
 * every other element (a word, or a recursion-system symbol: automaton
   states, kbar and scattered elements) is finite-state, so its portrait
   repeats a few states on every level.  A state table that lives for
@@ -80,8 +80,9 @@ def vertex_label(v: int) -> str:
 class Automorphism:
     """Base class: a lazily evaluable automorphism of the binary tree.
 
-    Subclasses implement `root_activity` (0 or 1) and `_children()`, the
-    pair of sections (g_0, g_1); the public `section` memoizes the pair.
+    Subclasses implement `root_activity` (0 or 1), `_children()`, the
+    pair of sections (g_0, g_1), and `_invert()`, an inverse of their own
+    family; the public `section` memoizes the pair.
     `_state_key()` names the element's state in `activity_rows`' state
     table: elements with equal keys are equal.  Instances never expose
     mutable state.
@@ -120,7 +121,7 @@ class Automorphism:
             return self._sections[x]
 
     def _invert(self) -> "Automorphism":
-        return _Inverse(self)
+        raise NotImplementedError
 
     # Convenience operator forms; the module-level functions are the
     # primary surface.
@@ -176,36 +177,6 @@ class _Product(Automorphism):
 
 #: The identity automorphism (a shared singleton).
 IDENTITY = _Product((), 0)
-
-
-class _Inverse(Automorphism):
-    """Lazy inverse: (g^-1)_y = (g_{y ^ activity(g)})^-1."""
-
-    __slots__ = ("g",)
-
-    def __init__(self, g: Automorphism):
-        self.g = g
-
-    @property
-    def root_activity(self) -> int:
-        return self.g.root_activity
-
-    def _children(self) -> tuple[Automorphism, Automorphism]:
-        a = self.g.root_activity
-        return invert(self.g.section(a)), invert(self.g.section(1 ^ a))
-
-    def _rows(self, depth: int) -> Iterator[np.ndarray]:
-        img = _ROOT_IMAGE
-        for n, row in enumerate(activity_rows(self.g, depth)):
-            if n:
-                img = _extend_image(img, prev)
-            inverse = np.empty_like(row)
-            inverse[img] = row
-            yield inverse
-            prev = row
-
-    def _invert(self) -> Automorphism:
-        return self.g
 
 
 _ROOT_IMAGE = np.zeros(1, dtype=np.intp)
@@ -458,6 +429,18 @@ class TruncationAutomorphism(Automorphism):
 
     def _rows(self, depth: int) -> Iterator[np.ndarray]:
         return _rows_below(self.portrait.bits, self.vertex, depth)
+
+    def _invert(self) -> Automorphism:
+        """The truncation of the inverted portrait: row(g^-1)[img(g)] = row(g)."""
+        rows, img = [], _ROOT_IMAGE
+        level = (self.vertex + 1).bit_length() - 1  # of the view's vertex
+        for row in self._rows(self.portrait.depth - level):
+            if rows:
+                img = _extend_image(img, prev)
+            inverse = np.empty_like(row)
+            inverse[img] = prev = row
+            rows.append(inverse)
+        return TruncationAutomorphism(Portrait(rows))
 
 
 def apply(g: Automorphism, w: str) -> str:

@@ -466,23 +466,36 @@ def test_automaton_rows_match_section_walk(data, depth):
     assert gt.portrait_of(g, depth) == portrait_by_section_walk(g, depth)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data(), depths)
-def test_recursion_and_scattered_rows_match_section_walk(data, depth):
-    kind = data.draw(st.sampled_from(["kbar", "scattered", "recursion"]))
+def _element(data, kind):
+    """An element of one family: a word, a Mealy state, a sampled truncation
+    or its section, kbar, a scattered element, or a recursion symbol."""
+    if kind == "word":
+        return gt.word_element(data.draw(st.text(alphabet="abcd", max_size=12)))
+    if kind == "mealy":
+        return _mealy_element(data)
+    if kind == "truncation":
+        return _sampled_truncation(data)
     if kind == "kbar":
-        g = gt.kbar_element(_conjugate_product(data))
-    elif kind == "scattered":
+        return gt.kbar_element(_conjugate_product(data))
+    if kind == "scattered":
         n = data.draw(st.integers(1, 6))
         labels = data.draw(st.sets(st.integers(0, (1 << n) - 1), max_size=4))
-        g = gt.scattered_element([(format(i, f"0{n}b"), _conjugate_product(data)) for i in labels])
-    else:
-        # sections that are a product and a truncation: one state per vertex
-        system = gt.RecursionSystem({
-            "g": (gt.compose(_mealy_element(data), gt.word_element("ab")), "h", 1),
-            "h": ("g", _sampled_truncation(data), data.draw(st.integers(0, 1))),
-        })
-        g = system.element("g")
+        return gt.scattered_element([(format(i, f"0{n}b"), _conjugate_product(data)) for i in labels])
+    # sections that are a product and a truncation: one state per vertex
+    system = gt.RecursionSystem({
+        "g": (gt.compose(_mealy_element(data), gt.word_element("ab")), "h", 1),
+        "h": ("g", _sampled_truncation(data), data.draw(st.integers(0, 1))),
+    })
+    return system.element("g")
+
+
+FAMILIES = ["word", "mealy", "truncation", "kbar", "scattered", "recursion"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(["kbar", "scattered", "recursion"]), depths)
+def test_recursion_and_scattered_rows_match_section_walk(data, kind, depth):
+    g = _element(data, kind)
     assert gt.portrait_of(g, depth) == portrait_by_section_walk(g, depth)
 
 
@@ -491,14 +504,43 @@ def test_recursion_and_scattered_rows_match_section_walk(data, depth):
 def test_product_and_inverse_rows_match_section_walk(data, depth):
     factors = []
     for kind in data.draw(st.lists(st.sampled_from(["word", "mealy", "truncation"]), max_size=4)):
-        if kind == "word":
-            g = gt.word_element(data.draw(st.text(alphabet="abcd", max_size=12)))
-        elif kind == "mealy":
-            g = _mealy_element(data)
-        else:
-            g = _sampled_truncation(data)
+        g = _element(data, kind)
         factors.append(gt.invert(g) if data.draw(st.booleans()) else g)
     g = gt.compose_all(*factors)
     if data.draw(st.booleans()):
         g = gt.invert(g)
     assert gt.portrait_of(g, depth) == portrait_by_section_walk(g, depth)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.sampled_from(FAMILIES), st.lists(vertices, max_size=6), depths)
+def test_every_family_inverts_within_itself(data, kind, us, depth):
+    g = _element(data, kind)
+    h = gt.invert(g)
+    assert type(h) is type(g)
+    for u in us:
+        assert gt.apply(h, gt.apply(g, u)) == u
+    assert not gt.portrait_of(gt.compose(g, h), depth).bits.any()
+
+
+def test_inverse_of_f_expands_five_states(monkeypatch):
+    # f's inverse is the symbol f of the inverse system, which has f's 5 states
+    counted = []
+    children_of = gt.tree._children_of
+    monkeypatch.setattr("grigtree.tree._children_of",
+                        lambda states: counted.append(len(states)) or children_of(states))
+    f = gt.element_of(gt.f_automaton(), "f")
+    g = gt.invert(f)
+    assert gt.invert(g) is f
+    gt.portrait_of(g, 20)
+    assert sum(counted) == 5
+    kbar = gt.kbar_element("abab")
+    assert gt.invert(gt.invert(kbar)) is kbar
+
+
+def test_every_automorphism_family_defines_its_own_inverse():
+    families = [cls for cls in gt.Automorphism.__subclasses__()
+                if cls.__module__.startswith("grigtree.")]
+    assert len(families) == 4
+    for cls in families:
+        assert {"root_activity", "_children", "_invert"} <= vars(cls).keys(), cls
