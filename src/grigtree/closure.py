@@ -50,8 +50,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .tree import (Automorphism, Portrait, PortraitSet, _check_level, _table_rows, portrait_of,
-                   vertex_index, vertex_label)
+from .tree import (BLOCK_KEYS, Automorphism, Portrait, PortraitSet, _check_level, _table_rows,
+                   portrait_of, vertex_index, vertex_label)
 from .words import ALPHABET, WordAutomorphism
 
 if TYPE_CHECKING:
@@ -368,12 +368,17 @@ def enumerate_admissible_decorations(n: int) -> PortraitSet:
     key.  The admissible rows of a window are one coset of a fixed
     5-dimensional subspace of GF(2)^8 (`_window_tables`), picked by the
     window's context, so a key admits exactly the rows whose m coset ids
-    equal its own tuple of context coset ids.  Keys with one tuple
-    form a class (a stable sort keeps each class ascending), and every
-    class holds as many keys.  Walking the 2^(8m) values of the new row
-    in increasing order, each value is OR'd onto the keys of the class
-    it fits: the new row is the high part and each class ascends, so the
-    keys come out strictly increasing, with no sort.
+    equal its own tuple of context coset ids.  That tuple, 3 bits per
+    window in a uint32, is the key's class; a row's class is an outer sum
+    over its bytes, byte i adding syndrome << 3i, so the 2^(8m) rows take
+    one addition each.  Keys of one class form one row of a class table
+    (a stable sort keeps each class ascending), and every class holds as
+    many keys.  Walking the values of the new row that fit an occupied
+    class in increasing order, each is OR'd onto the keys of its class:
+    the new row is the high part and each class ascends, so the keys come
+    out strictly increasing, with no sort.  The new level is filled
+    BLOCK_KEYS keys at a time, each block gathered from the class table
+    and OR'd with its rows while it is in cache.
     """
     _check_level(n)
     keys = np.arange(1 << ((1 << min(n, 3)) - 1), dtype=np.uint32)
@@ -381,28 +386,34 @@ def enumerate_admissible_decorations(n: int) -> PortraitSet:
     for level in range(3, n):
         above, mid, low = ((1 << (level - d)) - 1 for d in (2, 1, 0))
         m = 1 << (level - 3)
-        rows = np.arange(1 << (8 * m), dtype=np.uint32)
-        key_class = np.zeros(keys.size, dtype=np.intp)
-        row_class = np.zeros(rows.size, dtype=np.intp)
+        key_class = np.zeros(keys.size, dtype=np.uint32)
+        row_class = np.zeros(1, dtype=np.uint32)
         for i in range(m):
             ctx = np.zeros(keys.size, dtype=np.uint32)
             for pos in (above + 2 * i, above + 2 * i + 1,
                         mid + 4 * i, mid + 4 * i + 1, mid + 4 * i + 2, mid + 4 * i + 3):
                 ctx = (ctx << 1) | ((keys >> pos) & 1)
-            key_class |= coset[ctx].astype(np.intp) << (3 * i)
-            row_class |= syndrome[(rows >> (8 * i)) & 0xFF].astype(np.intp) << (3 * i)
+            key_class |= coset[ctx].astype(np.uint32) << (3 * i)
+            # byte i is the high part of the rows so far
+            row_class = np.add.outer(syndrome.astype(np.uint32) << (3 * i), row_class).ravel()
         sizes = np.bincount(key_class, minlength=8 ** m)
         size = int(sizes.max())
-        assert np.all(sizes[sizes > 0] == size), "classes of unequal size"
+        occupied = sizes > 0
+        assert np.all(sizes[occupied] == size), "classes of unequal size"
         # one row per occupied class, in class order, each ascending
         classes = keys.take(np.argsort(key_class, kind="stable")).reshape(-1, size)
-        fits = sizes[row_class] > 0
-        rows = rows[fits]
-        keys = np.empty((rows.size, size), dtype=np.uint32)
-        # the indices are in range; mode "raise" would copy through a buffer
-        classes.take((np.cumsum(sizes > 0) - 1)[row_class[fits]], axis=0, out=keys,
-                     mode="clip")
-        np.bitwise_or(keys, (rows << np.uint32(low))[:, None], out=keys)
+        rows = np.flatnonzero(occupied.take(row_class))  # the rows that fit, ascending
+        # the row of `classes` each of them fits
+        slots = (np.cumsum(occupied) - 1).astype(np.uint32).take(row_class.take(rows))
+        high = (rows.astype(np.uint32) << np.uint32(low))[:, None]
+        del row_class, rows  # freed before the level is allocated
+        keys = np.empty((slots.size, size), dtype=np.uint32)
+        step = max(1, BLOCK_KEYS // size)
+        for start in range(0, slots.size, step):
+            block = keys[start:start + step]
+            # the indices are in range; mode "raise" would copy through a buffer
+            classes.take(slots[start:start + step], axis=0, out=block, mode="clip")
+            block |= high[start:start + step]
         keys = keys.reshape(-1)
     keys.flags.writeable = False  # strictly increasing, so PortraitSet keeps it
     return PortraitSet(n, keys)

@@ -281,7 +281,10 @@ def enumerate_quotient(n: int) -> QuotientSet:
         start, end, sources = end, new, after
     # unmapped before QuotientSet sorts a copy of the keys
     del values, runs, tags, first, low, hi, tables, vals, halves
-    return QuotientSet(n, disc_keys[:end], bounds)
+    # a view holds its whole buffer: keys that fill less than half of it
+    # (4096 of 8M at level 4) are copied, and level 5's exact half is not
+    keys = disc_keys[:end] if 2 * end >= disc_keys.size else disc_keys[:end].copy()
+    return QuotientSet(n, keys, bounds)
 
 
 def _key_dtype(level: int) -> np.dtype:

@@ -21,6 +21,9 @@ lexicographic within a level): vertex u has index vertex_index(u),
 vertex v has its children at 2v+1 and 2v+2, and level n below v is the
 slice of 2^n bits from (v+1)*2^n - 1.  A PortraitSet holds depth-n
 portraits (n <= MAX_LEVEL) as the sorted uint32 keys of `Portrait.pack`.
+It checks that its keys strictly increase a block of BLOCK_KEYS at a
+time, so a check of 4,194,304 level-5 keys makes no temporary the size of
+the set.
 
 `activity_rows` builds whole levels without walking sections vertex by
 vertex, in one of three ways:
@@ -344,6 +347,12 @@ class Portrait:
 MAX_LEVEL = 5
 
 
+#: The keys one step of a set-sized pass touches (256 KiB of uint32), so
+#: its temporaries stay in cache: `PortraitSet`'s order check and the
+#: admissible enumeration's last level work a block at a time.
+BLOCK_KEYS = 1 << 16
+
+
 def _check_level(n: int) -> int:
     if not 1 <= n <= MAX_LEVEL:
         raise ValueError(f"level must be between 1 and {MAX_LEVEL}, got {n}")
@@ -359,16 +368,27 @@ def _position(sorted_keys: np.ndarray, key: int) -> int | None:
     return i if i < sorted_keys.size and int(sorted_keys[i]) == key else None
 
 
+def _strictly_increasing(keys: np.ndarray) -> bool:
+    """keys[i] < keys[i + 1] for every i, compared BLOCK_KEYS pairs at a
+    time and stopping at the first block that fails."""
+    for i in range(0, keys.size - 1, BLOCK_KEYS):
+        block = keys[i:i + BLOCK_KEYS + 1]  # one key past the block: pairs cross its end
+        if not (block[1:] > block[:-1]).all():
+            return False
+    return True
+
+
 class PortraitSet:
     """A set of depth-n portraits, stored as sorted packed keys
-    (`Portrait.pack`).  Keys already strictly increasing are not sorted
-    again; they are copied unless read-only (as `load_portrait_set` and
-    `enumerate_admissible_decorations` give them)."""
+    (`Portrait.pack`).  Keys already strictly increasing, as checked a
+    block at a time, are not sorted again; they are copied unless
+    read-only (as `load_portrait_set` and `enumerate_admissible_decorations`
+    give them).  Other keys are sorted and deduplicated."""
 
     def __init__(self, level: int, keys: np.ndarray):
         self.level = level
         keys = np.asarray(keys, dtype=np.uint32)
-        if not np.all(keys[1:] > keys[:-1]):
+        if not _strictly_increasing(keys):
             keys = np.sort(keys)
             first = np.ones(keys.size, dtype=bool)  # the first of each run of equal keys
             np.not_equal(keys[1:], keys[:-1], out=first[1:])

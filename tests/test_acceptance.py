@@ -179,6 +179,9 @@ def test_criterion_08_dimension_convergence(criterion, quotient4):
             digest.update(np.ascontiguousarray(array).tobytes())
         assert digest.hexdigest() == \
             "f2e741a34daa814ed87463b0b13465a30cdbbae67e51d3a8abbb6a21a0b9579f"
+        # they fill exactly half of their 32 MiB buffer, so they stay a view
+        # of it, with no 16 MiB copy
+        assert quotient5._disc_keys.base.nbytes == 2 * quotient5._disc_keys.nbytes == 32 << 20
         level5 = (f"level 5: {len(quotient5)} cosets in {elapsed:.1f}s, "
                   f"peak RSS {peak_mib:.0f} MiB, equal to the admissible set")
         info["detail"] = (f"estimate(4)=4/5, estimate(20)={est20:.6f}, "

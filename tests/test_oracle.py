@@ -15,7 +15,7 @@ from grigtree import Portrait, TruncationAutomorphism, closure, oracle
 from grigtree.closure import _window_tables
 from grigtree.oracle import (QuotientSet, _generator_moves, _key_halves, _left_product,
                              _left_tables)
-from grigtree.tree import vertex_index, vertex_label
+from grigtree.tree import BLOCK_KEYS, vertex_index, vertex_label
 from test_cli import traced_peak
 from test_closure import MASK64, splitmix64_mix
 
@@ -400,6 +400,22 @@ def test_bfs_memory_is_gated():
     assert traced_peak(setup, "oracle.enumerate_quotient(4)") <= 1_182_040
 
 
+def test_admissible_memory_is_gated():
+    # the 16 MiB of level-5 keys and the level-4 tables beside them
+    # (21,761,184 with a set-sized order check and intp row classes); the
+    # first run is a warm-up
+    setup = "import grigtree as gt\ngt.enumerate_admissible_decorations(5)"
+    assert traced_peak(setup, "gt.enumerate_admissible_decorations(5)") <= 17_157_753
+
+
+def test_load_memory_is_gated(tmp_path):
+    # the 16 MiB of keys read (20,973,455 with a set-sized order check)
+    path = tmp_path / "level5.bin"
+    setup = ("import grigtree as gt\n"
+             f"gt.save_portrait_set({str(path)!r}, gt.enumerate_admissible_decorations(5))")
+    assert traced_peak(setup, f"gt.load_portrait_set({str(path)!r})") <= 16_844_792
+
+
 PACKAGE = Path(gt.__file__).parent
 
 
@@ -697,6 +713,61 @@ def test_portrait_set_keeps_a_read_only_sorted_input():
     keys = np.array([1, 5, 9], dtype=np.uint32)
     keys.flags.writeable = False
     assert gt.PortraitSet(4, keys).keys is keys
+    keys = np.arange(2, 2 * (3 * BLOCK_KEYS + 6), 2, dtype=np.uint32)  # several blocks
+    keys.flags.writeable = False
+    assert gt.PortraitSet(5, keys).keys is keys
+
+
+def _one_fault(at: int, kind: str) -> np.ndarray:
+    """Even keys spanning several order-check blocks, with keys[at] turned
+    into a descent or a repeat of keys[at - 1]."""
+    keys = np.arange(2, 2 * (3 * BLOCK_KEYS + 6), 2, dtype=np.uint32)
+    keys[at] = keys[at - 1] - (kind == "descent")
+    return keys
+
+
+#: Faults on the pairs that end a block, start one or end the array
+FAULTS = [1, BLOCK_KEYS - 1, BLOCK_KEYS, BLOCK_KEYS + 1, 2 * BLOCK_KEYS,
+          3 * BLOCK_KEYS + 4]
+
+
+@pytest.mark.parametrize("kind", ["descent", "repeat"])
+@pytest.mark.parametrize("at", FAULTS)
+def test_portrait_set_order_check_sees_faults_at_block_boundaries(at, kind):
+    keys = _one_fault(at, kind)
+    keys.flags.writeable = False
+    assert gt.PortraitSet(5, keys).keys.tolist() == sorted(set(keys.tolist()))
+
+
+@pytest.mark.parametrize("at", [BLOCK_KEYS, 3 * BLOCK_KEYS + 4])
+def test_load_rejects_keys_unsorted_at_a_block_boundary(tmp_path, at):
+    keys = _one_fault(at, "descent")
+    path = tmp_path / "level5.bin"
+    path.write_bytes(struct.pack("<II", 5, keys.size) + keys.astype("<u4").tobytes())
+    with pytest.raises(ValueError, match="^portrait cache keys are not sorted ascending$"):
+        gt.load_portrait_set(path)
+
+
+def test_quotient_set_rejects_a_coset_discovered_twice_across_a_block():
+    # sorted, the repeated keys are the last of block 0 and the first of block 1
+    disc_keys = _one_fault(BLOCK_KEYS, "repeat")[::-1].copy()
+    with pytest.raises(RuntimeError, match="^the BFS discovered a coset twice$"):
+        QuotientSet(5, disc_keys, [0, disc_keys.size])
+
+
+@pytest.mark.parametrize("buffer_bytes, copied", [
+    (oracle.BUFFER_BYTES, True),  # 16 KiB of keys, not a view into 32 MiB
+    (2 * 4 * 4096, False),  # exactly half of the buffer, as at level 5
+    (2 * 4 * 4096 + 4, True),
+])
+def test_quotient_set_copies_discovery_keys_far_smaller_than_their_buffer(
+        buffer_bytes, copied, monkeypatch):
+    monkeypatch.setattr("grigtree.oracle.BUFFER_BYTES", buffer_bytes)
+    disc = gt.enumerate_quotient(4)._disc_keys
+    assert disc.nbytes == 4 * 4096
+    assert (disc.base is None) == copied
+    if not copied:
+        assert disc.base.nbytes == 2 * disc.nbytes
 
 
 def test_load_rejects_truncated_header(tmp_path):
