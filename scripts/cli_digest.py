@@ -28,13 +28,15 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from grigtree import cli  # noqa: E402
 
 #: Files the cases read, written to {dir}: a depth-7 portrait of fixed
-#: random bits, an automaton with a comment and a blank line, and one
+#: random bits, an automaton with a comment and a blank line, one whose
+#: windows first fail below vertex 01 (at depth 6 and deeper), and one
 #: whose state points at a state it does not define.
 _BITS = random.Random(51).getrandbits
 FILES = {
     "portrait.txt": "# fixed bits\n" + "".join(
         format(_BITS(1 << n), f"0{1 << n}b") + "\n" for n in range(7)),
     "machine.txt": "# three states\ns: 1 t u\nt: 0 u s\n\nu: 0 t u\n",
+    "late.txt": "a: 1 b b\nb: 0 b e\nc: 1 d d\nd: 0 c c\ne: 0 d e\n",
     "dangling.txt": "s: 1 t s\n",
 }
 
@@ -50,6 +52,7 @@ CASES = [
     "check-closure kbar:baababab --depth 12", "check-closure word:abacabad --depth 12",
     "check-closure portrait:{dir}/portrait.txt --depth 7",
     "check-closure auto:{dir}/machine.txt --depth 10",
+    "check-closure auto:{dir}/late.txt --depth 5", "check-closure auto:{dir}/late.txt --depth 6",
     *(f"enumerate --level {n} --large --out {{dir}}/level{n}.bin" for n in range(1, 6)),
     "hausdorff --max-level 70",
     "sample --depth 12", "sample --seed 18446744073709551615 --depth 9",

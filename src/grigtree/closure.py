@@ -19,7 +19,10 @@ Windows are read by vertex index out of a portrait's bit row: the
 windows below consecutive vertices are three slices reshaped to 2, 4
 and 8 columns.  `_profiles` turns them into six-bit profiles, scored by
 a 64-entry table, for all windows in the closure check and for one in
-`window_at`, `beta_profile` and `simulates_grigorchuk`.  The forced-bit
+`window_at`, `beta_profile` and `simulates_grigorchuk`.  The window
+below a vertex depends only on the section there, so a finite-state
+element is checked one window per state of its state graph, gathered
+through the child array (`in_closure_up_to`).  The forced-bit
 table and the coset ids that group the admissible rows are derived from
 the same 64 entries, in one pass over the 256 level-3 rows
 (`_window_tables`).  The sampler fills a level at a time: rows L-2, L-1
@@ -37,7 +40,7 @@ window's admissible rows are one coset of a fixed 5-dimensional subspace
 of GF(2)^8, so the keys of a level fall into classes that admit the same
 rows.  The random-word check draws its words from the same counter hash,
 one hash per word for its length and one per 32 letters, and scores the
-depth-8 windows of a chunk of words, built from one state table, in one
+depth-8 windows of a chunk of words, built from one state graph, in one
 pass.
 """
 
@@ -50,8 +53,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .tree import (BLOCK_KEYS, Automorphism, Portrait, PortraitSet, _check_level, _table_rows,
-                   portrait_of, vertex_index, vertex_label)
+from .tree import (BLOCK_KEYS, Automorphism, Portrait, PortraitSet, TruncationAutomorphism,
+                   _check_level, _Product, _StateGraph, _table_rows, portrait_of, vertex_index,
+                   vertex_label)
 from .words import ALPHABET, WordAutomorphism
 
 if TYPE_CHECKING:
@@ -263,10 +267,33 @@ def portrait_closure_verdict(p: Portrait) -> ClosureVerdict:
 def in_closure_up_to(g: Automorphism, depth: int) -> ClosureVerdict:
     """Finite-depth closure membership: every window below a vertex of
     length <= depth-4 must simulate the group.  A passing verdict at
-    depth d is necessary (not sufficient) for closure membership."""
+    depth d is necessary (not sufficient) for closure membership.
+
+    Products and truncations are scanned on their depth-d portraits.
+    Any other element is finite-state: its state graph is grown through
+    level depth-1, and the window of each state first seen on a level
+    <= depth-4 is scored once.  State ids follow first occurrences, so
+    the lowest failing id first occurs at the violation."""
     if depth < 4:
         raise ValueError("closure checks need depth >= 4")
-    return portrait_closure_verdict(portrait_of(g, depth))
+    if isinstance(g, (_Product, TruncationAutomorphism)):  # no state graph
+        return portrait_closure_verdict(portrait_of(g, depth))
+    graph = _StateGraph((g,))
+    scored = 1  # the states first seen on levels 0..depth-4
+    for n in range(1, depth):  # intern levels 1..depth-1, unless the graph is complete
+        new = graph.grow()
+        if n <= depth - 4:
+            scored = len(graph.states)
+        if not new:
+            break
+    child, acts = graph.child, np.array(graph.acts, dtype=np.uint8)
+    l1 = child[:scored]
+    l2 = child.take(l1, axis=0).reshape(scored, 4)
+    l3 = child.take(l2, axis=0).reshape(scored, 8)
+    bad = ~_ADMISSIBLE[_profiles(acts.take(l1), acts.take(l2), acts.take(l3))]
+    if not bad.any():
+        return ClosureVerdict(True, depth)
+    return ClosureVerdict(False, depth, vertex_label(graph.first_vertex(int(bad.argmax()))))
 
 
 def within_sixteenth_of_G(g: Automorphism, quotient=None) -> bool:
@@ -438,7 +465,7 @@ class VerificationReport:
                 f"max_len={self.max_len} violations={len(self.violations)}")
 
 
-#: Samples whose rows come from one state table: memory stays flat in the
+#: Samples whose rows come from one state graph: memory stays flat in the
 #: number of samples.
 VERIFY_CHUNK = 4096
 
@@ -484,7 +511,7 @@ def verify_window_constraints(samples: int, max_len: int, seed: int = 0) -> Veri
     The words come from the SplitMix64 counter hash of the seed, which
     must satisfy 0 <= seed < 2^64 as `sample`'s does (see
     `_sampled_words`).  The words of each chunk of VERIFY_CHUNK samples
-    share one state table (`tree._table_rows`), so a section that several
+    share one state graph (`tree._table_rows`), so a section that several
     words have in common is expanded once, and all their windows are
     scored in one pass.  Every root is a word state, the empty word too,
     so each level of the table is expanded in one call.

@@ -36,17 +36,18 @@ vertex, in one of three ways:
   row(gh) = row(g) ^ row(h)[img(g)];
 * every other element (a word, or a recursion-system symbol: automaton
   states, kbar and scattered elements) is finite-state, so its portrait
-  repeats a few states on every level.  A state table that lives for
-  one call interns each state once under its `_state_key()` and expands
-  it once, both children together, into an intp child array of shape
-  (states, 2).  The states new on a level are expanded together: those
-  that share a `_children_of` go to it in one call, so a level of word
-  states is one decomposition and one reduction of their join.  Level n
-  is act_child.take(ids, axis=0), a gather of the children's activities
+  repeats a few states on every level.  A state graph (`_StateGraph`)
+  that lives for one call interns each state once under its
+  `_state_key()` and expands it once, both children together, into an
+  intp child array of shape (states, 2), a level at a time.  The states
+  new on a level are expanded together: those that share a
+  `_children_of` go to it in one call, so a level of word states is one
+  decomposition and one reduction of their join.  Level n is
+  act_child.take(ids, axis=0), a gather of the children's activities
   below the ids of level n - 1, which then step down with
   ids = child.take(ids, axis=0); both gathers use intp ids (numpy's index
   type, so no index conversion per level), and the last level needs no
-  ids of its own.  One table can serve many roots at once, a row of ids
+  ids of its own.  One graph can serve many roots at once, a row of ids
   per root (`_table_rows`); a portrait is the one-root case.
 """
 
@@ -85,9 +86,11 @@ class Automorphism:
 
     Subclasses implement `root_activity` (0 or 1), `_children()`, the
     pair of sections (g_0, g_1), and `_invert()`, an inverse of their own
-    family; the public `section` memoizes the pair.
-    `_state_key()` names the element's state in `activity_rows`' state
-    table: elements with equal keys are equal.  Instances never expose
+    family; the public `section` memoizes the pair.  `_rows(depth)` and
+    `_portrait(depth)` build levels and portraits, from a state graph
+    unless a family overrides them.
+    `_state_key()` names the element's state in a state graph: elements
+    with equal keys are equal.  Instances never expose
     mutable state.
     """
 
@@ -103,7 +106,7 @@ class Automorphism:
     @staticmethod
     def _children_of(states) -> list["Automorphism"]:
         """The sections at 0 and 1 of each of some states, in one flat
-        list: by default `_children()` of each.  A state table expands the
+        list: by default `_children()` of each.  A state graph expands the
         states new on a level that share this function in one call."""
         return [h for g in states for h in g._children()]
 
@@ -112,6 +115,9 @@ class Automorphism:
 
     def _rows(self, depth: int) -> Iterator[np.ndarray]:
         return (rows[0] for rows in _table_rows((self,), depth))
+
+    def _portrait(self, depth: int) -> "Portrait":
+        return Portrait(self._rows(depth))
 
     def section(self, x: int) -> "Automorphism":
         """The section at child x (0 or 1)."""
@@ -192,18 +198,31 @@ def _extend_image(img: np.ndarray, row: np.ndarray) -> np.ndarray:
     return (((img << 1) | row)[:, None] ^ np.array([0, 1], dtype=np.intp)).ravel()
 
 
-def _table_rows(roots, depth: int) -> Iterator[np.ndarray]:
-    """Rows of finite-state elements from one state table built for this
-    call, one (len(roots), 2^n) array per level n: each state is interned
-    once by `_state_key()` and expanded once, both children together, on
-    the level below the one it first shows on, together with the other
-    states new on its level (see `_children_of`).  Roots share the table,
-    so sections common to several of them are expanded once."""
-    index: dict = {}
-    states: list[Automorphism] = []
-    acts: list[int] = []
+class _StateGraph:
+    """The states of finite-state elements below some roots, grown a level
+    at a time: each state is interned once by `_state_key()`, with its
+    root activity in `acts`, and expanded once, both children together,
+    by `grow`, which expands the states new on the deepest level together
+    (see `_children_of`).  `child` is the intp array of shape
+    (expanded states, 2) of their children's ids.  Ids follow first
+    occurrences: a state first shows below the first occurrence of a
+    state new on the level above, so with one root the ids are in level,
+    then lexicographic, order of their first-occurrence vertices
+    (`first_vertex`)."""
 
-    def intern(elements, out: list[int]) -> None:
+    child = np.zeros((0, 2), dtype=np.intp)  # until the first `grow`
+
+    def __init__(self, roots):
+        self.index: dict = {}
+        self.states: list[Automorphism] = []
+        self.acts: list[int] = []
+        self.kids: list[int] = []  # sections at 0 and 1 of states[:done], two ids each
+        self.done = 0
+        self.roots: list[int] = []
+        self._intern(roots, self.roots)
+
+    def _intern(self, elements, out: list[int]) -> None:
+        index, states, acts = self.index, self.states, self.acts
         for h in elements:
             key = h._state_key()
             t = index.get(key)
@@ -213,25 +232,47 @@ def _table_rows(roots, depth: int) -> Iterator[np.ndarray]:
                 acts.append(h.root_activity)
             out.append(t)
 
-    root_ids: list[int] = []
-    intern(roots, root_ids)
-    kids: list[int] = []  # sections at 0 and 1 of states[:done], two ids each
-    done = 0
-    child = np.zeros((0, 2), dtype=np.intp)
+    def grow(self) -> list[Automorphism]:
+        """Expand the states new on the deepest level (there must be some),
+        interning the next level, and return the states new on that level:
+        the next call expands them, and if there are none, the graph is
+        complete."""
+        new = self.states[self.done:]
+        self.done = len(self.states)
+        self._intern(_children_of(new), self.kids)
+        self.child = np.array(self.kids, dtype=np.intp).reshape(-1, 2)
+        return self.states[self.done:]
+
+    def first_vertex(self, t: int) -> int:
+        """The vertex index of state t's first occurrence below the root of
+        a one-root graph: the first entry t of `child` is the edge to it
+        from its parent's first occurrence."""
+        v, step = 0, 1
+        while t:
+            t, x = divmod(int((self.child == t).argmax()), 2)
+            v += step * (1 + x)
+            step <<= 1
+        return v
+
+
+def _table_rows(roots, depth: int) -> Iterator[np.ndarray]:
+    """Rows of finite-state elements from one state graph built for this
+    call, one (len(roots), 2^n) array per level n: a state is expanded on
+    the level below the one it first shows on.  Roots share the graph,
+    so sections common to several of them are expanded once."""
+    graph = _StateGraph(roots)
+    ids = np.array(graph.roots, dtype=np.intp)[:, None]
+    rows = len(ids)
     act_child = np.zeros((0, 2), dtype=np.uint8)  # activities of the sections in child
-    ids = np.array(root_ids, dtype=np.intp)[:, None]
-    rows = len(root_ids)
     if depth:
-        yield np.array(acts, dtype=np.uint8).take(ids)
+        yield np.array(graph.acts, dtype=np.uint8).take(ids)
+    new = graph.roots  # states not yet expanded: the roots, then each `grow`'s
     for n in range(1, depth):
-        new = states[done:]
         if new:
-            done = len(states)
-            intern(_children_of(new), kids)
-            child = np.array(kids, dtype=np.intp).reshape(-1, 2)
-            act_child = np.array(acts, dtype=np.uint8).take(child)
+            new = graph.grow()
+            act_child = np.array(graph.acts, dtype=np.uint8).take(graph.child)
         if n > 1:
-            ids = child.take(ids, axis=0).reshape(rows, 1 << (n - 1))
+            ids = graph.child.take(ids, axis=0).reshape(rows, 1 << (n - 1))
         yield act_child.take(ids, axis=0).reshape(rows, 1 << n)
 
 
@@ -450,6 +491,11 @@ class TruncationAutomorphism(Automorphism):
     def _rows(self, depth: int) -> Iterator[np.ndarray]:
         return _rows_below(self.portrait.bits, self.vertex, depth)
 
+    def _portrait(self, depth: int) -> Portrait:
+        if self.vertex or depth != self.portrait.depth:
+            return Portrait(self._rows(depth))
+        return self.portrait  # a portrait read from a file is checked on its own bits
+
     def _invert(self) -> Automorphism:
         """The truncation of the inverted portrait: row(g^-1)[img(g)] = row(g)."""
         rows, img = [], _ROOT_IMAGE
@@ -504,7 +550,7 @@ def portrait_of(g: Automorphism, depth: int) -> Portrait:
     """The depth-d truncated portrait of g (activity bits for |u| < depth)."""
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    return Portrait(activity_rows(g, depth))
+    return g._portrait(depth)
 
 
 def compose(g: Automorphism, h: Automorphism) -> Automorphism:

@@ -75,7 +75,7 @@ _RELATIONS = (("aa", ""), ("bb", ""), ("cc", ""), ("dd", ""), ("bc", "d"), ("cb"
 #: otherwise the join is rewritten to a fixed point, which costs less per
 #: call.  The numpy pass has a fixed cost of about 10 us.  Rewriting one
 #: word catches up with it between 88 and 112 letters, and may take a
-#: pass per nested layer.  On the join of a state table's level, it
+#: pass per nested layer.  On the join of a state graph's level, it
 #: catches up between about 1,000 letters (raw sections of random words)
 #: and 4,000 (sections of reduced words, which need fewer rewrites).
 SEGMENT_REDUCE_MIN = 96
@@ -160,7 +160,8 @@ def _decompose_all(words: list[str]) -> str:
     then their sections at 1.
 
     The words are joined with "|", each word with an odd number of a's
-    padded with one more, so every word starts at even parity.  The
+    but the last padded with one more, so every word starts at even
+    parity (the translations delete the a's, so the last needs none).  The
     {b,c,d}-letters after an odd number of a's are upper-cased: for a
     join shorter than DECOMPOSE_NUMPY_MIN by splitting it at its a's and
     upper-casing every other segment, for a longer one in one numpy pass
@@ -171,7 +172,7 @@ def _decompose_all(words: list[str]) -> str:
     never relations between {b,c,d}-letters, so the section words stay in
     raw (unreduced) form.
     """
-    joined = "|".join([w + "a" if w.count("a") & 1 else w for w in words])
+    joined = "|".join([w + "a" if w.count("a") & 1 else w for w in words[:-1]] + words[-1:])
     if len(joined) < DECOMPOSE_NUMPY_MIN:
         segments = joined.split("a")
         segments[1::2] = [s.upper() for s in segments[1::2]]

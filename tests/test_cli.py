@@ -335,10 +335,14 @@ def _quiet(argv):
     (["sample", "--depth", "16"], 325),
     # state tables of the three other element families: 477, 841 and 1,049
     # with one `_children()` call per state; 709 and 745 for the last two
-    # while word states were built past their constructor
-    (["check-closure", "auto:f", "--depth", "20"], 454),
-    (["check-closure", "kbar:abab", "--depth", "16"], 692),
+    # while word states were built past their constructor; 454 and 692 for
+    # the checks while they scanned all 2^depth portrait bits, not one
+    # window per state
+    (["check-closure", "auto:f", "--depth", "20"], 299),
+    (["check-closure", "kbar:abab", "--depth", "16"], 560),
     (["portrait", "word:abacabad", "--depth", "22"], 722),
+    # as at depth 20: f's graph is complete after five states
+    (["check-closure", "auto:f", "--depth", "22"], 299),
 ])
 def test_python_call_count_is_gated(argv, calls):
     # an exact count of the work, after a warm-up that fills the caches;

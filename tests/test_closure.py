@@ -183,6 +183,67 @@ def test_row_verdict_pinpoints_flipped_windows(depth):
     assert gt.portrait_closure_verdict(two) == reference_verdict(two)
 
 
+def _mealy_state(data):
+    names = [f"s{i}" for i in range(data.draw(st.integers(1, 6)))]
+    state = st.sampled_from(names)
+    transitions = {name: (data.draw(st.integers(0, 1)), data.draw(state), data.draw(state))
+                   for name in names}
+    return gt.element_of(gt.MealyAutomaton(transitions, names[0]), data.draw(state))
+
+
+def _finite_state_element(data):
+    """A random Mealy state (1-6 states), kbar of a conjugate product, word
+    of up to 300 letters, scattered element, or a symbol whose sections
+    are a product and a truncation (states the graph cannot share): the
+    elements checked on their state graphs."""
+    kind = data.draw(st.sampled_from(["mealy", "kbar", "word", "scattered", "recursion"]))
+    products = st.lists(st.text(alphabet="abcd", max_size=4), max_size=3).map(gt.k_word)
+    if kind == "mealy":
+        return _mealy_state(data)
+    if kind == "recursion":
+        sampled = gt.sample_closure_element(data.draw(st.integers(0, 99)), 6)
+        return gt.RecursionSystem({
+            "g": (gt.compose(_mealy_state(data), gt.word_element("ab")), "h", 1),
+            "h": ("g", gt.TruncationAutomorphism(sampled), data.draw(st.integers(0, 1))),
+        }).element("g")
+    if kind == "kbar":
+        return gt.kbar_element(data.draw(products))
+    if kind == "word":
+        return gt.word_element(data.draw(st.text(alphabet="abcd", max_size=300)))
+    labels = data.draw(st.lists(st.text(alphabet="01", max_size=4), max_size=4, unique=True))
+    independent = [u for u in labels
+                   if not any(u != v and (u.startswith(v) or v.startswith(u)) for v in labels)]
+    return gt.scattered_element([(u, data.draw(products)) for u in independent])
+
+
+@given(st.data(), st.integers(min_value=4, max_value=12))
+@settings(max_examples=200, deadline=None)
+def test_state_graph_verdict_matches_the_portrait_scan(data, depth):
+    g = _finite_state_element(data)
+    assert gt.in_closure_up_to(g, depth) == gt.portrait_closure_verdict(gt.portrait_of(g, depth))
+
+
+#: A root state whose windows first fail below vertex 01: the state there
+#: first shows on level 2, and its window reaches level 5.
+LATE_VIOLATION = "a: 1 b b\nb: 0 b e\nc: 1 d d\nd: 0 c c\ne: 0 d e\n"
+
+
+@pytest.mark.parametrize("depth, line", [
+    (5, "OK depth=5"), (6, "VIOLATION vertex=01"), (22, "VIOLATION vertex=01")])
+def test_state_graph_scores_states_down_to_level_depth_minus_four(depth, line):
+    g = gt.element_of(gt.parse_automaton(LATE_VIOLATION), "a")
+    verdict = gt.in_closure_up_to(g, depth)
+    assert verdict.format() == line
+    assert verdict == gt.portrait_closure_verdict(gt.portrait_of(g, depth))
+
+
+def test_a_truncation_at_its_own_depth_is_checked_on_its_own_bits():
+    p = gt.sample_closure_element(3, 9)
+    g = gt.TruncationAutomorphism(p)
+    assert gt.portrait_of(g, 9) is p
+    assert gt.portrait_of(g, 8) == gt.Portrait(p.levels[:8])
+
+
 depth6_keys = st.integers(min_value=0, max_value=(1 << 63) - 2)
 
 
