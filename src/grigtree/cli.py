@@ -18,10 +18,10 @@ Element designators:
 
 from __future__ import annotations
 
-import argparse
 import functools
 import gc
 import sys
+import types
 
 from .automata import (activity_profile, element_of, f_automaton,
                        grigorchuk_automaton, is_bounded_automaton,
@@ -277,20 +277,75 @@ COMMANDS = {
 }
 
 
+def _parse(argv: list[str]) -> types.SimpleNamespace | None:
+    """The namespace `build_parser().parse_args(argv)` returns, read
+    straight from COMMANDS, or None to leave argv to argparse.
+
+    Read here: a command, its positionals (tokens not starting with "-",
+    or a lone "-") and its long flags spelt in full, each at most once; a
+    flag that is not store_true takes the next token, which must not start
+    with "-" (a lone "-" aside), be ASCII digits for an int and lie within
+    its choices.  Every positional and required flag must be given; the
+    other flags take their defaults.  Left to argparse: help, usage errors
+    and its other spellings (abbreviations, --flag=value, "--", -1)."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, arguments = COMMANDS[argv[0]]
+    positionals = [names[0] for names, _ in arguments if names[0][0] != "-"]
+    flags = {names[0]: options for names, options in arguments if names[0][0] == "-"}
+    given, words = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-" or token == "-":
+            words.append(token)
+            continue
+        if token not in flags or token in given:
+            return None
+        options = flags[token]
+        if options.get("action") == "store_true":
+            given[token] = True
+            continue
+        value = next(tokens, "--")  # a missing value reads as a flag
+        if value[:1] == "-" and value != "-":
+            return None
+        if "type" in options:  # int, the only type used
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = options["type"](value)
+            except ValueError:  # past the int-string digit limit
+                return None
+        if "choices" in options and value not in options["choices"]:
+            return None
+        given[token] = value
+    if len(words) != len(positionals):
+        return None
+    values = dict(zip(positionals, words), command=argv[0], func=func)
+    for flag, options in flags.items():
+        if flag in given:
+            value = given[flag]
+        elif options.get("required"):
+            return None
+        else:
+            value = options.get("default",
+                                False if options.get("action") == "store_true" else None)
+        values[flag[2:].replace("-", "_")] = value
+    return types.SimpleNamespace(**values)
+
+
 @functools.cache
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser for every command, or for the named one only,
-    built once per process and reused by every main call.  A one-command
-    parser's usage still lists every command, so its top-level errors
-    print what the full parser's would."""
+def build_parser():
+    """The argument parser of every command, built once per process on
+    first use.  `main` reaches it only for what `_parse` leaves to it:
+    help, usage errors and argparse's other spellings."""
+    import argparse  # with gettext and locale, about 1 ms at first use
+
     parser = argparse.ArgumentParser(
         prog="grigtree",
         description="Exact computation with binary-tree automorphisms and "
                     "the closure of the Grigorchuk group.")
-    metavar = None if command is None else "{%s}" % ",".join(COMMANDS)  # as the full usage
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if command is None else [command]:
-        help_, func, arguments = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, func, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         for flags, options in arguments:
             p.add_argument(*flags, **options)
@@ -299,10 +354,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command on argv (sys.argv[1:] by default) and return its
+    exit code.  A plain argv is read from COMMANDS with no parser built;
+    anything else goes to `build_parser()`, whose help and usage errors
+    exit."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    # help, no arguments and unknown commands go to the full parser
-    parser = build_parser(argv[0]) if argv and argv[0] in COMMANDS else build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DesignatorError, ValueError, RecursionError, MemoryError, OSError) as exc:

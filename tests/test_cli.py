@@ -2,6 +2,7 @@ import contextlib
 import cProfile
 import gc
 import hashlib
+import importlib.util
 import io
 import os
 import pstats
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import grigtree as gt
-from grigtree.cli import COMMANDS, build_parser, main
+from grigtree.cli import COMMANDS, _parse, build_parser, main
 from grigtree.tree import vertex_label
 
 
@@ -204,15 +205,17 @@ def test_sample_rejects_seeds_outside_64_bits(capsys, seed):
 
 def test_cli_import_loads_no_hashlib_numpy_random_or_fractions():
     # each would cost every process start; fractions is imported on use,
-    # and verify draws its words without numpy.random
+    # verify draws its words without numpy.random, and a valid call reads
+    # its argv with no parser (argparse imports gettext, whose first
+    # lookup imports locale)
     code = ("import sys, grigtree.cli; grigtree.cli.main(['verify', '--samples', '3']); "
-            "print(*(m in sys.modules for m in "
-            "('hashlib', 'numpy.random', 'fractions', 'decimal')))")
+            "print(*(m in sys.modules for m in ('hashlib', 'numpy.random', 'fractions', "
+            "'decimal', 'argparse', 'gettext', 'locale')))")
     env = dict(os.environ, PYTHONPATH=str(Path(gt.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[0] == "seed=0 samples=3 max_len=100 violations=0"
-    assert out.stdout.splitlines()[1].split() == ["False"] * 4
+    assert out.stdout.splitlines()[1].split() == ["False"] * 7
 
 
 #: Output of `sample`, whose bits come from the SplitMix64 counter hash (`closure._drawn_bits`).
@@ -326,23 +329,28 @@ def _quiet(argv):
         return main(argv)
 
 
+#: "argparse: n" quotes a count from while argparse read every argv.
 @pytest.mark.parametrize("argv, calls", [
     # 511,487 with one rng.choice per letter, 145,637 with one decomposition per
     # word, 34,096 with Mersenne Twister words, 27,612 with IDENTITY roots,
-    # 26,611 while word states were built past their constructor
-    (["verify", "--samples", "1000"], 22_959),
-    # 459 while every vertex of a level was hashed and the free index summed
-    (["sample", "--depth", "16"], 325),
+    # 26,611 while word states were built past their constructor; argparse: 22,959
+    (["verify", "--samples", "1000"], 22_839),
+    # 459 while every vertex of a level was hashed and the free index summed;
+    # argparse: 325
+    (["sample", "--depth", "16"], 205),
     # state tables of the three other element families: 477, 841 and 1,049
     # with one `_children()` call per state; 709 and 745 for the last two
     # while word states were built past their constructor; 454 and 692 for
     # the checks while they scanned all 2^depth portrait bits, not one
-    # window per state
-    (["check-closure", "auto:f", "--depth", "20"], 299),
-    (["check-closure", "kbar:abab", "--depth", "16"], 560),
-    (["portrait", "word:abacabad", "--depth", "22"], 722),
-    # as at depth 20: f's graph is complete after five states
-    (["check-closure", "auto:f", "--depth", "22"], 299),
+    # window per state; argparse: 299, 560 and 722
+    (["check-closure", "auto:f", "--depth", "20"], 136),
+    (["check-closure", "kbar:abab", "--depth", "16"], 397),
+    (["portrait", "word:abacabad", "--depth", "22"], 551),
+    # as at depth 20: f's graph is complete after five states; argparse: 299
+    (["check-closure", "auto:f", "--depth", "22"], 136),
+    # all 2^21 - 1 portrait bits, summed per level; argparse: 646 and 765
+    (["bounded", "auto:f", "--levels", "20"], 483),
+    (["bounded", "kbar:abab", "--levels", "20"], 602),
 ])
 def test_python_call_count_is_gated(argv, calls):
     # an exact count of the work, after a warm-up that fills the caches;
@@ -504,7 +512,7 @@ def _full_parser_outcome(capsys, argv):
     ["reduce"], ["reduce", "ab", "--bogus"], ["reduce", "a", "b"], ["act", "word:a"],
     ["enumerate", "--level", "x"], ["enumerate"], ["sample", "--seed"],
     ["portrait", "word:a", "--depth", "3", "--format", "svg"],
-    # top-level errors raised after a named command, by its one-command parser
+    # top-level errors raised after a named command
     ["check-closure", "auto:f", "--depth", "8", "extra"], ["sample", "--depth", "4", "--bogus"],
     ["reduce", "ab", "--", "cd"], ["verify", "-h"],
 ])
@@ -520,13 +528,12 @@ def _fresh_cli(code, *argv, **env):
 
 
 def test_top_level_help_bytes_are_pinned():
-    # the usage whose command list the one-command parsers' metavar spells out
     out = _fresh_cli("import sys, grigtree.cli; grigtree.cli.main()", "--help", COLUMNS="80")
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "85dd231a5deec52b09b6cd23f6ffb7567b5245dce3c70ce0c6aac5af1f10d5de")
 
 
-def test_a_named_command_builds_only_its_own_parser():
+def test_a_valid_call_builds_no_parser():
     # counted in a fresh process, where no parser is cached yet
     code = ("import argparse, contextlib, io, sys\n"
             "init, built = argparse.ArgumentParser.__init__, []\n"
@@ -541,10 +548,46 @@ def test_a_named_command_builds_only_its_own_parser():
             "named = len(built)\n"
             "build_parser()\n"
             "print(code, named, len(built) - named)\n")
-    # the top-level parser and the named command's subparser, against one
-    # subparser per command in the full parser, built afterwards
+    # none for the call; the full parser, built afterwards, is the
+    # top-level parser and one subparser per command
     out = _fresh_cli(code, "check-closure", "auto:f", "--depth", "16")
-    assert out.split() == ["0", "2", str(1 + len(COMMANDS))]
+    assert out.split() == ["0", "0", str(1 + len(COMMANDS))]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-closure", "auto:f", "--dep", "8"],  # an abbreviation
+    ["check-closure", "auto:f", "--depth=8"],
+    ["reduce", "--", "ab"],
+    ["reduce", "-h"],
+    ["sample", "--seed", "-1", "--depth", "4"],  # a value starting with "-"
+    ["check-closure", "auto:f", "--depth", "8", "--depth", "9"],
+    ["portrait", "word:a", "--depth", "3", "--format", "svg"],
+    ["check-closure", "auto:f", "--depth", " 4"],  # int() reads it, but not plain digits
+])
+def test_other_spellings_are_left_to_argparse(argv):
+    assert _parse(argv) is None
+
+
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_and_digest_argvs_are_read_without_argparse(tmp_path):
+    root = Path(__file__).parents[1]
+    workloads = _load(root / "perfbench" / "workloads.py")
+    digest = _load(root / "scripts" / "cli_digest.py")
+    argvs = [op["argv"] for name in workloads.WORKLOADS
+             for op in workloads.workload_ops(name, 0, 6, str(tmp_path)) if "argv" in op]
+    argvs += [case.replace("{dir}", str(tmp_path)).split() for case in digest.CASES
+              if case not in ("frobnicate", "reduce --help")]  # the usage cases
+    assert len({argv[0] for argv in argvs}) == len(COMMANDS)
+    for argv in argvs:
+        parsed = _parse(argv)
+        assert parsed is not None, argv
+        assert vars(parsed) == vars(build_parser().parse_args(argv))
 
 
 @pytest.mark.parametrize("argv", [

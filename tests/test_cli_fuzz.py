@@ -1,8 +1,9 @@
 """Random argv drawn from the designator grammar: every run of `main`
 ends in exit 0, 1 or 2 (argparse's SystemExit(2) included) and raises
-nothing else, and an exit 2 prints nothing to stdout.  Sizes are small
-when --large is drawn; without it they may be huge, and must then be
-refused before any work."""
+nothing else, and an exit 2 prints nothing to stdout.  An argv that
+`main` reads without argparse reads as argparse reads it.  Sizes are
+small when --large is drawn; without it they may be huge, and must then
+be refused before any work."""
 
 import contextlib
 import io
@@ -10,7 +11,7 @@ import io
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from grigtree.cli import main
+from grigtree.cli import _parse, build_parser, main
 
 FILES = {
     "odometer.txt": "s: 1 e s\ne: 0 e e\n",
@@ -104,6 +105,9 @@ def argvs(draw, root):
 @given(data=st.data())
 def test_cli_exits_cleanly_on_random_argv(files, data):
     argv = data.draw(argvs(files), label="argv")
+    parsed = _parse(argv)  # None leaves argv to argparse
+    if parsed is not None:
+        assert vars(parsed) == vars(build_parser().parse_args(argv))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
