@@ -22,7 +22,7 @@ a 64-entry table, for all windows in the closure check and for one in
 `window_at`, `beta_profile` and `simulates_grigorchuk`.  The window
 below a vertex depends only on the section there, so a finite-state
 element is checked one window per state of its state graph, gathered
-through the child array (`in_closure_up_to`).  The forced-bit
+through the child array (`_failing_states`).  The forced-bit
 table and the coset ids that group the admissible rows are derived from
 the same 64 entries, in one pass over the 256 level-3 rows
 (`_window_tables`).  The sampler fills a level at a time: rows L-2, L-1
@@ -39,9 +39,8 @@ level row at a time, in the highest bits of the key, with no sort: a
 window's admissible rows are one coset of a fixed 5-dimensional subspace
 of GF(2)^8, so the keys of a level fall into classes that admit the same
 rows.  The random-word check draws its words from the same counter hash,
-one hash per word for its length and one per 32 letters, and scores the
-depth-8 windows of a chunk of words, built from one state graph, in one
-pass.
+one hash per word for its length and one per 32 letters, and scores a
+chunk of words, the roots of one state graph, one window per state.
 """
 
 from __future__ import annotations
@@ -54,8 +53,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .tree import (BLOCK_KEYS, Automorphism, Portrait, PortraitSet, TruncationAutomorphism,
-                   _check_level, _Product, _StateGraph, _table_rows, portrait_of, vertex_index,
-                   vertex_label)
+                   _check_level, _Product, _StateGraph, portrait_of, vertex_index, vertex_label)
 from .words import ALPHABET, WordAutomorphism
 
 if TYPE_CHECKING:
@@ -133,18 +131,9 @@ def _profiles(l1, l2, l3):
 
 def _windows(bits: np.ndarray, v: int, n: int) -> list[np.ndarray]:
     """Level rows 1-3 of the windows below vertex indices v..v+n-1 of a
-    vertex-order bit row (or of each row of a matrix of them, row by row),
-    with 2, 4 and 8 columns."""
-    return [bits[..., ((v + 1) << k) - 1:((v + 1 + n) << k) - 1].reshape(-1, 1 << k)
+    vertex-order bit row, with 2, 4 and 8 columns."""
+    return [bits[((v + 1) << k) - 1:((v + 1 + n) << k) - 1].reshape(-1, 1 << k)
             for k in (1, 2, 3)]
-
-
-def _failing_windows(bits: np.ndarray) -> np.ndarray:
-    """Which complete windows of depth-d vertex-order bit rows (the last
-    axis) fail: the windows below vertices v < 2^(d-3) - 1 in vertex
-    order, one row of them per bit row."""
-    n = (1 << (bits.shape[-1].bit_length() - 3)) - 1
-    return ~_ADMISSIBLE[_profiles(*_windows(bits, 0, n))].reshape(*bits.shape[:-1], n)
 
 
 #: The bits of each 8-bit level-3 row value: _ROW_BITS[row, r] = a_r, r
@@ -258,7 +247,7 @@ def portrait_closure_verdict(p: Portrait) -> ClosureVerdict:
     """
     if p.depth < 4:
         raise ValueError("closure checks need portrait depth >= 4")
-    bad = _failing_windows(p.bits)
+    bad = ~_ADMISSIBLE[_profiles(*_windows(p.bits, 0, (1 << (p.depth - 3)) - 1))]
     if not bad.any():
         return ClosureVerdict(True, p.depth)
     return ClosureVerdict(False, p.depth, vertex_label(int(bad.argmax())))
@@ -270,30 +259,39 @@ def in_closure_up_to(g: Automorphism, depth: int) -> ClosureVerdict:
     depth d is necessary (not sufficient) for closure membership.
 
     Products and truncations are scanned on their depth-d portraits.
-    Any other element is finite-state: its state graph is grown through
-    level depth-1, and the window of each state first seen on a level
-    <= depth-4 is scored once.  State ids follow first occurrences, so
-    the lowest failing id first occurs at the violation."""
+    Any other element is finite-state, and its state graph is scored
+    (`_failing_states`).  State ids follow first occurrences, so the
+    lowest failing id first occurs at the violation."""
     if depth < 4:
         raise ValueError("closure checks need depth >= 4")
     if isinstance(g, (_Product, TruncationAutomorphism)):  # no state graph
         return portrait_closure_verdict(portrait_of(g, depth))
     graph = _StateGraph((g,))
-    scored = 1  # the states first seen on levels 0..depth-4
+    bad = _failing_states(graph, depth)
+    if not bad.any():
+        return ClosureVerdict(True, depth)
+    return ClosureVerdict(False, depth, vertex_label(graph.first_vertex(int(bad.argmax()))))
+
+
+def _failing_states(graph: _StateGraph, depth: int) -> np.ndarray:
+    """Does the window below each state first seen on levels <= depth-4
+    of a new state graph fail?  One bool per such state, by id.  The
+    graph is grown through level depth-1, or until it is complete, so
+    the three levels below each of these states are interned.  They are
+    the states at the vertices of length <= depth-4 below the roots (see
+    `_StateGraph`), so one of them fails exactly when some root's
+    depth-d portrait does."""
     for n in range(1, depth):  # intern levels 1..depth-1, unless the graph is complete
         new = graph.grow()
-        if n <= depth - 4:
-            scored = len(graph.states)
+        if n <= depth - 3:
+            scored = graph.done  # the states first seen on levels 0..n-1
         if not new:
             break
     child, acts = graph.child, np.array(graph.acts, dtype=np.uint8)
     l1 = child[:scored]
     l2 = child.take(l1, axis=0).reshape(scored, 4)
     l3 = child.take(l2, axis=0).reshape(scored, 8)
-    bad = ~_ADMISSIBLE[_profiles(acts.take(l1), acts.take(l2), acts.take(l3))]
-    if not bad.any():
-        return ClosureVerdict(True, depth)
-    return ClosureVerdict(False, depth, vertex_label(graph.first_vertex(int(bad.argmax()))))
+    return ~_ADMISSIBLE[_profiles(acts.take(l1), acts.take(l2), acts.take(l3))]
 
 
 def within_sixteenth_of_G(g: Automorphism, quotient=None) -> bool:
@@ -465,8 +463,8 @@ class VerificationReport:
                 f"max_len={self.max_len} violations={len(self.violations)}")
 
 
-#: Samples whose rows come from one state graph: memory stays flat in the
-#: number of samples.
+#: Samples whose windows are scored on one state graph: memory stays flat
+#: in the number of samples.
 VERIFY_CHUNK = 4096
 
 #: The four letters of each byte value, two bits a letter, lowest first
@@ -511,10 +509,12 @@ def verify_window_constraints(samples: int, max_len: int, seed: int = 0) -> Veri
     The words come from the SplitMix64 counter hash of the seed, which
     must satisfy 0 <= seed < 2^64 as `sample`'s does (see
     `_sampled_words`).  The words of each chunk of VERIFY_CHUNK samples
-    share one state graph (`tree._table_rows`), so a section that several
-    words have in common is expanded once, and all their windows are
-    scored in one pass.  Every root is a word state, the empty word too,
-    so each level of the table is expanded in one call.
+    are the roots of one state graph, so a section that several words
+    have in common is expanded and scored once (`_failing_states`).
+    Every root is a word state, the empty word too, so each level of the
+    graph is expanded in one call.  Only a chunk with a failing state,
+    which the theorem rules out, checks its words again one at a time
+    (`in_closure_up_to`), to list the failing ones.
     """
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
@@ -527,9 +527,9 @@ def verify_window_constraints(samples: int, max_len: int, seed: int = 0) -> Veri
     for start in range(0, samples, VERIFY_CHUNK):
         words, letter = _sampled_words(seed, start, min(VERIFY_CHUNK, samples - start),
                                        max_len, letter)
-        rows = _table_rows(map(WordAutomorphism, words), 8)
-        bad = _failing_windows(np.concatenate(list(rows), axis=1)).any(axis=1)
-        report.violations.extend(words[i] for i in np.flatnonzero(bad))
+        if _failing_states(_StateGraph(map(WordAutomorphism, words)), 8).any():
+            report.violations.extend(w for w in words
+                                     if not in_closure_up_to(WordAutomorphism(w), 8))
     return report
 
 

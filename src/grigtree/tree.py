@@ -47,8 +47,9 @@ vertex, in one of three ways:
   below the ids of level n - 1, which then step down with
   ids = child.take(ids, axis=0); both gathers use intp ids (numpy's index
   type, so no index conversion per level), and the last level needs no
-  ids of its own.  One graph can serve many roots at once, a row of ids
-  per root (`_table_rows`); a portrait is the one-root case.
+  ids of its own.  A graph may also hold many roots, which take its
+  first ids; the closure checks read no rows from a graph, but score one
+  window per state (`closure._failing_states`).
 """
 
 from __future__ import annotations
@@ -114,7 +115,18 @@ class Automorphism:
         return self
 
     def _rows(self, depth: int) -> Iterator[np.ndarray]:
-        return (rows[0] for rows in _table_rows((self,), depth))
+        """Levels from a one-root state graph (see the module docstring)."""
+        graph = _StateGraph((self,))
+        if depth:
+            yield np.array(graph.acts, dtype=np.uint8)  # the root's activity alone
+        ids, new = _ROOT_IMAGE, graph.states  # the root's id, 0; the states not yet expanded
+        for n in range(1, depth):
+            if new:
+                new = graph.grow()
+                act_child = np.array(graph.acts, dtype=np.uint8).take(graph.child)
+            if n > 1:
+                ids = graph.child.take(ids, axis=0).ravel()
+            yield act_child.take(ids, axis=0).ravel()
 
     def _portrait(self, depth: int) -> "Portrait":
         return Portrait(self._rows(depth))
@@ -204,13 +216,13 @@ class _StateGraph:
     root activity in `acts`, and expanded once, both children together,
     by `grow`, which expands the states new on the deepest level together
     (see `_children_of`).  `child` is the intp array of shape
-    (expanded states, 2) of their children's ids.  Ids follow first
-    occurrences: a state first shows below the first occurrence of a
-    state new on the level above, so with one root the ids are in level,
-    then lexicographic, order of their first-occurrence vertices
+    (expanded states, 2) of their children's ids, set by `grow`.  The
+    roots take the first ids; the others follow first occurrences: a
+    state first shows below the first occurrence of a state new on the
+    level above.  So a state first seen on level L lies L levels below
+    some root and no fewer below any, and with one root the ids are in
+    level, then lexicographic, order of their first-occurrence vertices
     (`first_vertex`)."""
-
-    child = np.zeros((0, 2), dtype=np.intp)  # until the first `grow`
 
     def __init__(self, roots):
         self.index: dict = {}
@@ -218,8 +230,7 @@ class _StateGraph:
         self.acts: list[int] = []
         self.kids: list[int] = []  # sections at 0 and 1 of states[:done], two ids each
         self.done = 0
-        self.roots: list[int] = []
-        self._intern(roots, self.roots)
+        self._intern(roots, [])
 
     def _intern(self, elements, out: list[int]) -> None:
         index, states, acts = self.index, self.states, self.acts
@@ -245,35 +256,15 @@ class _StateGraph:
 
     def first_vertex(self, t: int) -> int:
         """The vertex index of state t's first occurrence below the root of
-        a one-root graph: the first entry t of `child` is the edge to it
-        from its parent's first occurrence."""
+        a one-root graph, state 0 (which reads no `child`): the first
+        entry t of `child` is the edge to it from its parent's first
+        occurrence."""
         v, step = 0, 1
         while t:
             t, x = divmod(int((self.child == t).argmax()), 2)
             v += step * (1 + x)
             step <<= 1
         return v
-
-
-def _table_rows(roots, depth: int) -> Iterator[np.ndarray]:
-    """Rows of finite-state elements from one state graph built for this
-    call, one (len(roots), 2^n) array per level n: a state is expanded on
-    the level below the one it first shows on.  Roots share the graph,
-    so sections common to several of them are expanded once."""
-    graph = _StateGraph(roots)
-    ids = np.array(graph.roots, dtype=np.intp)[:, None]
-    rows = len(ids)
-    act_child = np.zeros((0, 2), dtype=np.uint8)  # activities of the sections in child
-    if depth:
-        yield np.array(graph.acts, dtype=np.uint8).take(ids)
-    new = graph.roots  # states not yet expanded: the roots, then each `grow`'s
-    for n in range(1, depth):
-        if new:
-            new = graph.grow()
-            act_child = np.array(graph.acts, dtype=np.uint8).take(graph.child)
-        if n > 1:
-            ids = graph.child.take(ids, axis=0).reshape(rows, 1 << (n - 1))
-        yield act_child.take(ids, axis=0).reshape(rows, 1 << n)
 
 
 def _children_of(states: list[Automorphism]) -> list[Automorphism]:

@@ -11,7 +11,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import grigtree as gt
@@ -312,15 +311,26 @@ def test_verify_output_is_pinned(capsys, seed):
 
 @pytest.mark.parametrize("flagged, line", [(0, "violation: c"), (1, "violation: -")])
 def test_verify_prints_each_violation(capsys, monkeypatch, flagged, line):
-    # seed 29 draws the words c, (empty) and cadba; one of them is made to fail
-    def one_failing(bits):
-        bad = np.zeros((bits.shape[0], 1), dtype=bool)
-        bad[flagged] = True
+    # seed 29 draws the words c, (empty) and cadba; one of them is made to
+    # fail as a root: in the chunk's graph, whose roots take ids 0-2 in
+    # sample order, and in its own graph, where it is state 0
+    word = ("c", "")[flagged]
+    scored, graphs = gt.closure._failing_states, []
+
+    def one_failing(graph, depth):
+        bad = scored(graph, depth)
+        assert depth == 8 and not bad.any()
+        root = 0 if graphs else flagged  # the chunk's graph comes first
+        graphs.append([g.word for g in graph.states[:3]])
+        bad[root] = graph.states[root].word == word
         return bad
 
-    monkeypatch.setattr("grigtree.closure._failing_windows", one_failing)
+    monkeypatch.setattr("grigtree.closure._failing_states", one_failing)
     assert run(capsys, "verify", "--samples", "3", "--max-len", "5", "--seed", "29") == (
         1, f"seed=29 samples=3 max_len=5 violations=1\n{line}\n", "")
+    # the chunk, then each of its words again, in sample order
+    assert [states[0] for states in graphs] == ["c", "c", "", "cadba"]
+    assert graphs[0] == ["c", "", "cadba"]
 
 
 def _quiet(argv):
@@ -329,12 +339,21 @@ def _quiet(argv):
         return main(argv)
 
 
-#: "argparse: n" quotes a count from while argparse read every argv.
-@pytest.mark.parametrize("argv, calls", [
+def gates(names, cases):
+    """Parametrize a gate by (argv, bound) cases, each named by its argv
+    alone, so that tightening a bound keeps the test's name."""
+    return pytest.mark.parametrize(names, cases, ids=[" ".join(argv) for argv, _ in cases])
+
+
+#: "argparse: n" quotes a count from while argparse read every argv, "rows:
+#: n" one from while verify scanned row blocks of its words and the
+#: finite-state rows were read from a multi-root table.
+@gates("argv, calls", [
     # 511,487 with one rng.choice per letter, 145,637 with one decomposition per
     # word, 34,096 with Mersenne Twister words, 27,612 with IDENTITY roots,
-    # 26,611 while word states were built past their constructor; argparse: 22,959
-    (["verify", "--samples", "1000"], 22_839),
+    # 26,611 while word states were built past their constructor; argparse:
+    # 22,959; rows: 22,839
+    (["verify", "--samples", "1000"], 22_779),
     # 459 while every vertex of a level was hashed and the free index summed;
     # argparse: 325
     (["sample", "--depth", "16"], 205),
@@ -342,15 +361,17 @@ def _quiet(argv):
     # with one `_children()` call per state; 709 and 745 for the last two
     # while word states were built past their constructor; 454 and 692 for
     # the checks while they scanned all 2^depth portrait bits, not one
-    # window per state; argparse: 299, 560 and 722
-    (["check-closure", "auto:f", "--depth", "20"], 136),
-    (["check-closure", "kbar:abab", "--depth", "16"], 397),
-    (["portrait", "word:abacabad", "--depth", "22"], 551),
-    # as at depth 20: f's graph is complete after five states; argparse: 299
-    (["check-closure", "auto:f", "--depth", "22"], 136),
-    # all 2^21 - 1 portrait bits, summed per level; argparse: 646 and 765
-    (["bounded", "auto:f", "--levels", "20"], 483),
-    (["bounded", "kbar:abab", "--levels", "20"], 602),
+    # window per state; argparse: 299, 560 and 722; rows: 136, 397 and 551
+    (["check-closure", "auto:f", "--depth", "20"], 133),
+    (["check-closure", "kbar:abab", "--depth", "16"], 392),
+    (["portrait", "word:abacabad", "--depth", "22"], 523),
+    # as at depth 20: f's graph is complete after five states; argparse: 299;
+    # rows: 136
+    (["check-closure", "auto:f", "--depth", "22"], 133),
+    # all 2^21 - 1 portrait bits, summed per level; argparse: 646 and 765;
+    # rows: 483 and 602
+    (["bounded", "auto:f", "--levels", "20"], 456),
+    (["bounded", "kbar:abab", "--levels", "20"], 575),
 ])
 def test_python_call_count_is_gated(argv, calls):
     # an exact count of the work, after a warm-up that fills the caches;
@@ -376,10 +397,11 @@ def traced_peak(setup: str, code: str) -> int:
                               text=True, check=True).stdout)
 
 
-@pytest.mark.parametrize("argv, peak", [
+@gates("argv, peak", [
+    # 4,920,377 while verify concatenated (4096, 2^n) row blocks per chunk;
     # 4,925,000 while read in the test process, where it varied by about
     # 1.1 kB with the tests before it (8,105,606 with one rng.choice per letter)
-    (["verify", "--samples", "10000"], 4_920_377),
+    (["verify", "--samples", "10000"], 2_125_662),
     # the first word of seed 47094 has 495,028 letters; 3,222,591 while read
     # in the test process (3,220,329 for the Mersenne Twister word of that length)
     (["verify", "--samples", "1", "--max-len", "1990000", "--seed", "47094"], 3_222_282),

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import grigtree as gt
 from grigtree import IDENTITY
-from grigtree.tree import _table_rows, vertex_index, vertex_label
+from grigtree.closure import _failing_states
+from grigtree.tree import _StateGraph, vertex_index, vertex_label
 from grigtree.words import _decompose_all
 
 words = st.text(alphabet="abcd", max_size=24)
@@ -400,33 +401,13 @@ def test_each_word_is_decomposed_once(monkeypatch):
     assert decomposed == ["abdabac"]
 
 
-@given(st.lists(st.text(alphabet="abcd", max_size=60), max_size=12))
-@settings(max_examples=60, deadline=None)
-def test_many_roots_share_one_table(ws):
-    roots = [gt.word_element(w) for w in ws]
-    rows = list(_table_rows(roots, 8))
-    assert [row.shape for row in rows] == [(len(ws), 1 << n) for n in range(8)]
-    for i, w in enumerate(ws):
-        assert gt.Portrait(row[i] for row in rows) == gt.portrait_of(gt.word_element(w), 8)
-
-
-def test_many_roots_mix_element_families():
-    roots = [gt.word_element("abac"), gt.element_of(gt.f_automaton(), "f"),
-             gt.kbar_element("abab"), IDENTITY, gt.word_element("abac")]
-    rows = list(_table_rows(roots, 7))
-    for i, g in enumerate(roots):
-        assert gt.Portrait(row[i] for row in rows) == gt.portrait_of(g, 7)
-
-
-def test_many_roots_of_every_finite_state_family_match_section_walks():
+def test_every_finite_state_family_matches_section_walks():
     f, grig = gt.f_automaton(), gt.grigorchuk_automaton()
     roots = [gt.element_of(f, "f"), gt.word_element("abacabad"), gt.kbar_element("abab"),
              gt.element_of(grig, "d"), gt.kbar_element(gt.k_word(["b", "cab"])),
              gt.word_element("dacab" * 7), *(gt.element_of(f, s) for s in f.states)]
-    rows = list(_table_rows(roots, 12))
-    assert [row.shape for row in rows] == [(len(roots), 1 << n) for n in range(12)]
-    for i, g in enumerate(roots):
-        assert gt.Portrait(row[i] for row in rows) == portrait_by_section_walk(g, 12)
+    for g in roots:
+        assert gt.portrait_of(g, 12) == portrait_by_section_walk(g, 12)
 
 
 def _mealy_element(data):
@@ -490,6 +471,18 @@ def _element(data, kind):
 
 
 FAMILIES = ["word", "mealy", "truncation", "kbar", "scattered", "recursion"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.lists(st.sampled_from(["word", "mealy", "kbar"]), min_size=1, max_size=4))
+def test_one_graph_scores_the_windows_of_all_its_roots(data, kinds):
+    # about half the random automata fail by depth 9; words and kbar never do
+    roots = [_element(data, kind) for kind in kinds]
+    for d in range(4, 10):
+        fails = [not gt.portrait_closure_verdict(gt.portrait_of(g, d)) for g in roots]
+        assert _failing_states(_StateGraph(roots), d).any() == any(fails)
+        for g, fail in zip(roots, fails):
+            assert _failing_states(_StateGraph((g,)), d).any() == fail
 
 
 @settings(max_examples=60, deadline=None)
